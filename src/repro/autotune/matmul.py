@@ -34,35 +34,14 @@ def _start_compile(gemm, fma: bool, async_compile: bool) -> None:
         gemm.compile_async("c")
 
 
-def make_gemm(NB: int, RM: int, RN: int, V: int, elem: T.Type = double,
-              use_prefetch: bool = True, fma: bool = True,
-              async_compile: bool = False):
-    """Build ``gemm(C, A, B, N)`` for any N.
-
-    The blocked interior covers the largest multiple of NB; the k tail
-    and the bottom/right edges run as naive loops (the same remainder
-    structure as :func:`make_gemm_packed` — an earlier version assumed
-    NB | N and read and wrote past the matrices otherwise).
-
-    ``fma=True`` compiles the kernel with fused multiply-add contraction
-    (what a hand-tuned BLAS uses on FMA hardware); pass False for strict
-    per-operation IEEE results.  ``async_compile=True`` returns while gcc
-    still runs on the :mod:`repro.buildd` pool (the auto-tuner uses this
-    to overlap candidate compilation with timing runs).
-    """
-    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
-    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
-    gemm = terra("""
-    terra gemm(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
-      for mb = 0, N0, NB do
-        for nb = 0, N0, NB do
-          l1_first(A + mb*N, B + nb, C + mb*N + nb, N, N, N)
-          for kb = NB, N0, NB do
-            l1_accum(A + mb*N + kb, B + kb*N + nb, C + mb*N + nb, N, N, N)
-          end
-        end
-      end
+def _gemm_edges(NB: int, elem: T.Type):
+    """``gemm_edges(C, A, B, N)``: everything the NB-blocked interior
+    leaves out when NB does not divide N — the k tail of the interior,
+    then the bottom rows and right columns as naive full-k dot products.
+    Every GEMM maker runs it after its interior."""
+    return terra("""
+    terra gemm_edges(C : &elem, A : &elem, B : &elem, N : int64) : {}
+      var N0 = (N / NB) * NB
       if N0 == N then return end
       -- k tail for the blocked interior
       for i = 0, N0 do
@@ -90,8 +69,42 @@ def make_gemm(NB: int, RM: int, RN: int, V: int, elem: T.Type = double,
         end
       end
     end
+    """, env=dict(elem=elem, NB=NB, zeroconst=_zero(elem)))
+
+
+def make_gemm(NB: int, RM: int, RN: int, V: int, elem: T.Type = double,
+              use_prefetch: bool = True, fma: bool = True,
+              async_compile: bool = False):
+    """Build ``gemm(C, A, B, N)`` for any N.
+
+    The blocked interior covers the largest multiple of NB; the k tail
+    and the bottom/right edges run in the naive ``gemm_edges`` shared by
+    every GEMM maker (an earlier version assumed NB | N and read and
+    wrote past the matrices otherwise).
+
+    ``fma=True`` compiles the kernel with fused multiply-add contraction
+    (what a hand-tuned BLAS uses on FMA hardware); pass False for strict
+    per-operation IEEE results.  ``async_compile=True`` returns while gcc
+    still runs on the :mod:`repro.buildd` pool (the auto-tuner uses this
+    to overlap candidate compilation with timing runs).
+    """
+    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
+    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
+    gemm = terra("""
+    terra gemm(C : &elem, A : &elem, B : &elem, N : int64) : {}
+      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
+      for mb = 0, N0, NB do
+        for nb = 0, N0, NB do
+          l1_first(A + mb*N, B + nb, C + mb*N + nb, N, N, N)
+          for kb = NB, N0, NB do
+            l1_accum(A + mb*N + kb, B + kb*N + nb, C + mb*N + nb, N, N, N)
+          end
+        end
+      end
+      edges(C, A, B, N)
+    end
     """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  zeroconst=_zero(elem)))
+                  edges=_gemm_edges(NB, elem)))
     _start_compile(gemm, fma, async_compile)
     return gemm
 
@@ -141,35 +154,10 @@ def make_gemm_packed(NB: int, RM: int, RN: int, V: int,
       end
       std.free(bufA)
       std.free(bufB)
-      if N0 == N then return end
-      -- k tail for the blocked interior
-      for i = 0, N0 do
-        for k = N0, N do
-          var aik = A[i * N + k]
-          for j = 0, N0 do
-            C[i * N + j] = C[i * N + j] + aik * B[k * N + j]
-          end
-        end
-      end
-      -- bottom edge rows (full k)
-      for i = N0, N do
-        for j = 0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-      -- right edge columns above the bottom edge (full k)
-      for i = 0, N0 do
-        for j = N0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
+      edges(C, A, B, N)
     end
     """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  std=std, zeroconst=_zero(elem)))
+                  std=std, edges=_gemm_edges(NB, elem)))
     _start_compile(gemm, fma, async_compile)
     return gemm
 
@@ -229,37 +217,7 @@ def make_gemm_packed_parallel(NB: int, RM: int, RN: int, V: int,
     end
     """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
                   std=std)).mark_chunked()
-    edges = terra("""
-    terra gemm_edges(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB
-      if N0 == N then return end
-      -- k tail for the blocked interior
-      for i = 0, N0 do
-        for k = N0, N do
-          var aik = A[i * N + k]
-          for j = 0, N0 do
-            C[i * N + j] = C[i * N + j] + aik * B[k * N + j]
-          end
-        end
-      end
-      -- bottom edge rows (full k)
-      for i = N0, N do
-        for j = 0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-      -- right edge columns above the bottom edge (full k)
-      for i = 0, N0 do
-        for j = N0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-    end
-    """, env=dict(elem=elem, NB=NB, zeroconst=_zero(elem)))
+    edges = _gemm_edges(NB, elem)
     _start_compile(panels, fma, False)
     _start_compile(edges, fma, False)
 

@@ -14,15 +14,24 @@ Scheduling model (Halide-inspired, as in the paper):
   only a rolling window of rows in a scratchpad.
 
 All buffers share one padded-row layout: width ``W = P + N + P + V`` where
-``P`` is the pipeline's maximum |dx| footprint and ``V`` the vector width;
-the padding is kept zero, which implements the zero boundary condition
-(paper: "use a zero boundary condition") with no bounds checks in the
-inner loop.  Out-of-range *rows* read from a shared zero row, selected by
+``P`` is the pipeline's maximum |dx| footprint and ``V`` the vector width
+(1 when scalar); the padding is kept zero, which implements the zero
+boundary condition (paper: "use a zero boundary condition") with no
+bounds checks in the inner loop.  Out-of-range *rows* read from a shared zero row, selected by
 row-pointer computation outside the x loop.
 
-Vectorization (``vectorize=4/8``) emits a vector main loop over Terra
-vector types plus a scalar tail — the paper's "Orion can vectorize any
-schedule using Terra's vector instructions".
+Loop directives come as one :class:`repro.schedule.Schedule`
+(``tile_schedule=``).  Each computed stage is emitted as one scalar
+scanline loop over its own axis ``x_<buf>``, reading only through
+pointers hoisted before the loop, so every access is ``p[x]``.
+``Vectorize("x", V)`` expands into one strict ``Vectorize("x_<buf>", V)``
+per stage and the generic schedule pass (``passes/vectorize.py``) turns
+each loop into Terra vector code — the paper's "Orion can vectorize any
+schedule using Terra's vector instructions".  ``Parallel("y", NT)`` stays
+Orion's own strip dispatch: the generic ``Parallel`` needs one final
+top-level loop of independent iterations, while Orion's row loops need a
+barrier per fused group and warm-up rows that rebuild private line-buffer
+windows.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import includec, terra, trace
-from ..core import types as T
 from ..errors import TerraError
+from ..schedule import Parallel, Schedule, ScheduleError, Vectorize, apply
 from . import lang
 
 _std = includec("stdlib.h")
@@ -254,116 +263,80 @@ class CompiledStencil:
             raise_aggregated("orion", errors, reg)
 
 
-def _resolve_parallel(parallel) -> int:
-    """The effective worker count a ``parallel=`` argument asks for.
-
-    Accepts a :class:`~repro.orion.lang.Parallel` directive, a bare int
-    (worker count, 0 = auto), or True (auto).  ``REPRO_TERRA_THREADS``
-    overrides whatever was asked (see
-    :func:`repro.parallel.default_nthreads`); a result <= 1 selects the
-    exact serial code path — byte-identical generated C."""
-    if parallel is None or parallel is False:
+def _resolve_parallel(directive) -> int:
+    """The effective worker count of a ``Parallel("y", NT)`` directive
+    (``None``: serial).  ``REPRO_TERRA_THREADS`` overrides whatever was
+    asked (see :func:`repro.parallel.default_nthreads`); a result <= 1
+    selects the exact serial code path — byte-identical generated C."""
+    if directive is None:
         return 0
     from ..parallel import default_nthreads
-    if isinstance(parallel, lang.Parallel):
-        return default_nthreads(parallel.nthreads)
-    if parallel is True:
-        return default_nthreads(0)
-    return default_nthreads(int(parallel))
+    return default_nthreads(directive.nthreads)
 
 
-def _merge_tile_schedule(tile_schedule, vectorize, parallel):
-    """Normalize loop-level directives onto one vocabulary.
-
-    Orion's loop directives are sugar for :mod:`repro.schedule` objects:
-    ``Vectorize("x", V)`` is the scanline vector width (``vectorize=V``)
-    and ``Parallel("y", NT)`` the worker-strip split (``parallel=NT``).
-    Returns ``(vectorize, parallel, tile_schedule)`` with the schedule
-    synthesized from legacy arguments when none was passed — so every
-    compile records its loop directives as one inspectable Schedule
-    (``CompiledStencil.tile_schedule``)."""
-    from ..schedule import Parallel, Schedule, ScheduleError, Vectorize
-    if tile_schedule is None:
-        directives = []
-        if vectorize:
-            directives.append(Vectorize("x", int(vectorize)))
-        nt = _resolve_parallel(parallel)
-        if nt > 1:
-            directives.append(Parallel("y", nt))
-        return vectorize, parallel, Schedule(directives)
+def _loop_directives(tile_schedule) -> tuple[Optional[int], int]:
+    """``(V, NT)`` from a tile schedule: the ``Vectorize("x", V)`` width
+    (``None`` when the scanline loops stay scalar) and the effective
+    ``Parallel("y", NT)`` worker count (0 when serial)."""
     if not isinstance(tile_schedule, Schedule):
         raise ScheduleError(
             f"tile_schedule must be a repro.schedule.Schedule, "
             f"got {tile_schedule!r}")
-    if vectorize or parallel is not None:
-        raise ScheduleError(
-            f"{tile_schedule.key()}: pass loop directives either as "
-            f"tile_schedule or as legacy vectorize=/parallel= — not both")
+    V = None
     for d in tile_schedule:
         if isinstance(d, Vectorize):
             if d.axis != "x":
                 raise ScheduleError(
                     f"{d}: Orion vectorizes the scanline axis 'x'")
-            vectorize = d.width
+            V = d.width
         elif isinstance(d, Parallel):
             if d.axis != "y":
                 raise ScheduleError(
                     f"{d}: Orion parallelizes the row axis 'y'")
-            parallel = d.nthreads or True
         else:
             raise ScheduleError(
                 f"{d}: Orion loop schedules support Vectorize('x', V) "
                 f"and Parallel('y', NT); stage storage policies go in "
                 f"the policy schedule= dict")
-    return vectorize, parallel, tile_schedule
+    return V, _resolve_parallel(tile_schedule.parallel)
 
 
-def compile_pipeline(output, N: int, vectorize: int | bool = False,
-                     schedule: Optional[dict] = None,
+def compile_pipeline(output, N: int, schedule: Optional[dict] = None,
                      default_policy: str = lang.MATERIALIZE,
-                     parallel=None,
-                     tile_schedule=None,
-                     ) -> CompiledStencil:
+                     tile_schedule=None) -> CompiledStencil:
     """Compile an Orion pipeline to a Terra function for N×N images.
 
     ``output`` may be a single expression/stage or a list of them (a
     multi-output pipeline: one fused function filling several buffers).
     ``schedule`` maps stages (or stage names) to *storage* policies;
     unlisted stages use their declared ``policy=`` or ``default_policy``.
-    ``parallel`` (a :func:`repro.orion.lang.parallel` directive, an int
-    worker count, or True) splits the scanline loop into per-worker
-    strips dispatched through :mod:`repro.parallel`.
 
-    ``tile_schedule`` is the first-class spelling of the *loop*
-    directives: a :class:`repro.schedule.Schedule` of
-    ``Vectorize("x", V)`` / ``Parallel("y", NT)``, equivalent to (and
-    mutually exclusive with) the legacy ``vectorize=`` / ``parallel=``
-    arguments and producing byte-identical C.  The normalized schedule
-    is recorded on the result as ``stencil.tile_schedule``.
+    ``tile_schedule`` holds the *loop* directives, a
+    :class:`repro.schedule.Schedule` of ``Vectorize("x", V)`` and
+    ``Parallel("y", NT)``.  ``Vectorize("x", V)`` expands into one
+    ``Vectorize("x_<buf>", V)`` per computed stage, lowered by the
+    generic schedule pass; ``Parallel("y", NT)`` splits the row loop
+    into per-worker strips dispatched through :mod:`repro.parallel`.
+    The schedule is recorded on the result as ``stencil.tile_schedule``.
     """
-    vectorize, parallel, tile_schedule = _merge_tile_schedule(
-        tile_schedule, vectorize, parallel)
-    nt = _resolve_parallel(parallel)
-    with trace.span("orion.compile", cat="orion", N=N,
-                    vectorize=int(vectorize) if vectorize else 0,
+    if tile_schedule is None:
+        tile_schedule = Schedule()
+    V, nt = _loop_directives(tile_schedule)
+    with trace.span("orion.compile", cat="orion", N=N, vectorize=V or 0,
                     nthreads=nt) as sp:
-        stencil = _compile_pipeline(output, N, vectorize, schedule,
+        stencil = _compile_pipeline(output, N, V, schedule,
                                     default_policy, nt)
         stencil.tile_schedule = tile_schedule
         sp.set(stages=len(stencil.input_names) + len(stencil.output_names))
         return stencil
 
 
-def _compile_pipeline(output, N, vectorize, schedule, default_policy,
-                      NT=0):
+def _compile_pipeline(output, N, V, schedule, default_policy, NT=0):
     outputs = output if isinstance(output, (list, tuple)) else [output]
     out_stages = [lang.as_stage(o, f"out{i}" if len(outputs) > 1 else "out")
                   for i, o in enumerate(outputs)]
     out_ids = {s.id for s in out_stages}
     stages = _collect_stages(out_stages)
-    V = int(vectorize) if vectorize else 0
-    if V and V not in (2, 4, 8, 16):
-        raise TerraError(f"vector width must be 2/4/8/16, got {V}")
 
     # -- resolve policies -------------------------------------------------------
     schedule = dict(schedule or {})
@@ -431,7 +404,7 @@ def _compile_pipeline(output, N, vectorize, schedule, default_policy,
                 continue  # ...but a zero boundary never expands the domain
             producer.ex = max(producer.ex, info.ex + abs(dx))
             producer.ey = max(producer.ey, info.ey + abs(dy))
-    P = 1  # minimum padding so vector tails stay in bounds
+    P = 1  # at least one zero column on each side
     for info in infos.values():
         P = max(P, info.ex, info.pad_x)
 
@@ -492,7 +465,7 @@ def _compile_pipeline(output, N, vectorize, schedule, default_policy,
         else:
             info.rows = N + 2 * info.ey  # the expanded computed region
 
-    W = P + N + P + max(V, 1)
+    W = P + N + P + max(V or 0, 1)
 
     # -- buffer slot assignment (liveness-based reuse) ---------------------------
     # Intermediate stage buffers persist across calls (lazily allocated
@@ -506,9 +479,13 @@ def _compile_pipeline(output, N, vectorize, schedule, default_policy,
 
     # -- code generation ----------------------------------------------------------
     src, env, input_names, params = _generate(
-        infos, compute_order, group_order, out_stages, stages, N, P, W, V,
-        NT)
+        infos, compute_order, group_order, out_stages, stages, N, P, W, NT)
     fn = terra(src, env=env, filename=f"<orion:{out_stages[0].name}>")
+    if V is not None:
+        # one strict directive per stage scanline loop: every stage is
+        # vectorized by passes/vectorize.py, or the compile fails
+        apply(fn, Schedule([Vectorize(_x_axis(info), V)
+                            for info in compute_order]))
     # submit the native build to the buildd pool now (capturing any active
     # extra_cflags), so compilation overlaps the caller's setup work; the
     # first call of the stencil joins the pending build.
@@ -603,12 +580,9 @@ def _assign_slots(infos, group_order, out_ids, W: int, NT: int = 0) -> None:
 
 
 def _generate(infos, compute_order, group_order, out_stages, stages,
-              N, P, W, V, NT=0):
+              N, P, W, NT=0):
     from .. import fmax, fmin
-    float4 = T.vector(T.float32, V) if V else None
     env = {"std": _std, "cstr": _str, "fmin": fmin, "fmax": fmax}
-    if float4 is not None:
-        env["vecT"] = float4
 
     inputs = [s for s in stages if s.is_input]
     input_names = [s.name for s in inputs]
@@ -693,7 +667,7 @@ def _generate(infos, compute_order, group_order, out_stages, stages,
             w("    if yw > y0 then y0 = yw end")
             w("    for y = y0, y1 do")
             for info in group.stages:
-                _emit_stage(w, info, N, P, W, V,
+                _emit_stage(w, info, N, P, W,
                             guard_warmup=(D > 0 and
                                           info.policy != lang.LINEBUFFER))
             w("    end")
@@ -701,7 +675,7 @@ def _generate(infos, compute_order, group_order, out_stages, stages,
         else:
             w(f"  for y = {ymin}, {ymax} do")
             for info in group.stages:
-                _emit_stage(w, info, N, P, W, V)
+                _emit_stage(w, info, N, P, W)
             w("  end")
     w("end")
     return "\n".join(lines), env, input_names, param_names
@@ -735,11 +709,26 @@ def _valid_rows(info: _StageInfo, N: int) -> tuple[int, int]:
     return -info.ey, N + info.ey
 
 
-def _emit_stage(w, info: _StageInfo, N: int, P: int, W: int, V: int,
+def _x_axis(info: _StageInfo) -> str:
+    """The scanline loop variable of a stage — unique per stage, so each
+    stage's loop is its own schedule axis."""
+    return f"x_{info.buf}"
+
+
+def _offset(d: int) -> str:
+    return f"{'m' if d < 0 else ''}{abs(d)}"
+
+
+def _emit_stage(w, info: _StageInfo, N: int, P: int, W: int,
                 guard_warmup: bool = False) -> None:
+    """One scalar scanline loop for a stage.  Every read goes through a
+    pointer hoisted before the loop (the producer row shifted by dx), so
+    the body only indexes ``p[x]`` — the lane-exact form the generic
+    vectorizer accepts."""
     lead = info.lead
     lo, hi = -info.ey, N + info.ey
     xlo, xhi = -info.ex, N + info.ex
+    x = _x_axis(info)
     w("    do")
     w(f"      var r = y + {lead}")
     cond = f"r >= {lo} and r < {hi}"
@@ -748,39 +737,31 @@ def _emit_stage(w, info: _StageInfo, N: int, P: int, W: int, V: int,
         # shared rows must keep exactly one writer
         cond += " and y >= ylo"
     w(f"      if {cond} then")
-    # row pointers for every (producer, dy) this stage reads
+    # a row pointer for every (producer, dy) this stage reads, then a
+    # column-shifted pointer for every (producer, dy, dx)
     rowptrs: dict[tuple[int, int], str] = {}
+    ptrs: dict[tuple[int, int, int], str] = {}
     for producer, dx, dy in info.reads:
         key = (producer.stage.id, dy)
-        if key in rowptrs:
-            continue
-        rp = f"rp_{producer.buf}_{'m' if dy < 0 else ''}{abs(dy)}"
-        rowptrs[key] = rp
-        plo, phi = _valid_rows(producer, N)
-        w(f"        var {rp} : &float = zrow")
-        w(f"        var rr_{rp} = r + {dy}")
-        w(f"        if rr_{rp} >= {plo} and rr_{rp} < {phi} then")
-        w(f"          {rp} = {producer.buf} + "
-          f"{_row_index(producer, f'rr_{rp}', N)} * {W} + {P}")
-        w("        end")
+        rp = rowptrs.get(key)
+        if rp is None:
+            rp = f"rp_{producer.buf}_{_offset(dy)}"
+            rowptrs[key] = rp
+            plo, phi = _valid_rows(producer, N)
+            w(f"        var {rp} : &float = zrow")
+            w(f"        var rr_{rp} = r + {dy}")
+            w(f"        if rr_{rp} >= {plo} and rr_{rp} < {phi} then")
+            w(f"          {rp} = {producer.buf} + "
+              f"{_row_index(producer, f'rr_{rp}', N)} * {W} + {P}")
+            w("        end")
+        if key + (dx,) not in ptrs:
+            ptrs[key + (dx,)] = f"{rp}_x{_offset(dx)}"
+            w(f"        var {ptrs[key + (dx,)]} = {rp} + {dx}")
     w(f"        var wrow = {info.buf} + {_row_index(info, 'r', N)} "
       f"* {W} + {P}")
-    scalar = _expr_code(info.inlined_expr, rowptrs, vector=False)
-    if V:
-        vec = _expr_code(info.inlined_expr, rowptrs, vector=True)
-        w(f"        var x = {xlo}")
-        w(f"        while x + {V} <= {xhi} do")
-        w(f"          @[&vecT](&wrow[x]) = {vec}")
-        w(f"          x = x + {V}")
-        w("        end")
-        w(f"        while x < {xhi} do")
-        w(f"          wrow[x] = {scalar}")
-        w("          x = x + 1")
-        w("        end")
-    else:
-        w(f"        for x = {xlo}, {xhi} do")
-        w(f"          wrow[x] = {scalar}")
-        w("        end")
+    w(f"        for {x} = {xlo}, {xhi} do")
+    w(f"          wrow[{x}] = {_expr_code(info.inlined_expr, ptrs, x)}")
+    w("        end")
     # a bounded stage's buffer slot may hold another stage's expanded
     # columns; its consumers expect zeros beyond the domain, so re-zero
     # the pad columns they read
@@ -791,28 +772,19 @@ def _emit_stage(w, info: _StageInfo, N: int, P: int, W: int, V: int,
     w("    end")
 
 
-def _expr_code(e: lang.Expr, rowptrs: dict, vector: bool) -> str:
+def _expr_code(e: lang.Expr, ptrs: dict, x: str) -> str:
     if isinstance(e, lang.Param):
-        name = f"prm_{_sanitize(e.name)}"
-        return f"[vecT]({name})" if vector else name
+        return f"prm_{_sanitize(e.name)}"
     if isinstance(e, lang.Const):
         text = repr(e.value)
-        lit = f"{text}f" if ("e" in text or "." in text) else f"{text}.0f"
-        if vector:
-            return f"[vecT]({lit})"
-        return lit
+        return f"{text}f" if ("e" in text or "." in text) else f"{text}.0f"
     if isinstance(e, lang.Read):
-        rp = rowptrs[(e.stage.id, e.dy)]
-        if vector:
-            return f"(@[&vecT](&{rp}[x + {e.dx}]))"
-        return f"{rp}[x + {e.dx}]"
+        return f"{ptrs[(e.stage.id, e.dy, e.dx)]}[{x}]"
     assert isinstance(e, lang.BinOp)
-    lhs = _expr_code(e.lhs, rowptrs, vector)
-    rhs = _expr_code(e.rhs, rowptrs, vector)
+    lhs = _expr_code(e.lhs, ptrs, x)
+    rhs = _expr_code(e.rhs, ptrs, x)
     if e.op == "min":
         return f"[fmin]({lhs}, {rhs})"
     if e.op == "max":
         return f"[fmax]({lhs}, {rhs})"
     return f"({lhs} {e.op} {rhs})"
-
-

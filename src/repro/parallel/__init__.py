@@ -15,8 +15,8 @@ This package is the runtime half of that story:
   :class:`~repro.errors.TrapError` on the dispatching thread, and the
   pool survives to run the next dispatch.
 
-Surfaced in three places: the Orion schedule directive
-``parallel(axis, nthreads=0)`` (see :mod:`repro.orion`), the
+Surfaced in three places: Orion's ``Parallel("y", NT)`` row-strip
+dispatch (see :mod:`repro.orion.compile`), the
 ``parallel_blockedloop`` / ``DataTable.parallel_map`` helpers in
 :mod:`repro.lib`, and the packed GEMM driver's panel loop
 (:mod:`repro.autotune.matmul`).

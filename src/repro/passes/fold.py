@@ -1,5 +1,5 @@
-"""Constant folding and control-flow pruning (migrated from the old
-interp-only ``core/optimize.py``).
+"""Constant folding and control-flow pruning (run by the pass manager
+for both backends, at every pipeline level from 1 up).
 
 Staged programs bake meta-level constants (block sizes, strides, unrolled
 indices) into the object program; folding them is what makes the paper's

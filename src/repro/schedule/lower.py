@@ -85,10 +85,21 @@ def _slot_of(body, loop):
     return None
 
 
-def _resolve_axis(typed, axis: str, directive):
+def _loops_by_axis(body) -> dict:
+    """Every loop of ``body`` grouped by axis name, from one walk."""
+    found: dict = {}
+    for n in tast.walk(body):
+        if isinstance(n, tast.TForNum):
+            found.setdefault(n.symbol.displayname or "", []).append(n)
+    return found
+
+
+def _resolve_axis(typed, axis: str, directive, by_axis=None):
     """The unique TForNum for ``axis`` plus its statement slot, or a
-    ScheduleError naming the directive (strict mode)."""
-    loops = _loops_named(typed.body, axis)
+    ScheduleError naming the directive (strict mode).  ``by_axis`` is a
+    :func:`_loops_by_axis` index still valid for ``axis``."""
+    loops = _loops_named(typed.body, axis) if by_axis is None \
+        else by_axis.get(axis, [])
     if not loops:
         raise ScheduleError(
             f"{directive}: axis {axis!r} not found in {typed.name!r} "
@@ -447,10 +458,11 @@ def _lower_unroll(typed, d: Unroll, lenient: bool) -> bool:
 
 # -- Vectorize --------------------------------------------------------------------
 
-def _lower_vectorize(typed, d: Vectorize, lenient: bool) -> bool:
+def _lower_vectorize(typed, d: Vectorize, lenient: bool, by_axis,
+                     addr_taken) -> bool:
     from ..passes import vectorize as vz
     try:
-        loop, slot = _resolve_axis(typed, d.axis, d)
+        loop, slot = _resolve_axis(typed, d.axis, d, by_axis)
     except ScheduleError:
         if lenient:
             _metric("sched.skipped")
@@ -464,7 +476,6 @@ def _lower_vectorize(typed, d: Vectorize, lenient: bool) -> bool:
             _metric("sched.skipped")
             return False
         raise err
-    addr_taken = vz._addr_taken_symbols(typed.body)
     try:
         replacement = vz.vectorize_loop(loop, addr_taken, d.width)
     except vz._Bail as bail:
@@ -560,8 +571,17 @@ def lower_schedule(typed, schedule: Schedule) -> bool:
         changed = _lower_block(typed, d, lenient) or changed
     for d in schedule.of_kind(Unroll):
         changed = _lower_unroll(typed, d, lenient) or changed
-    for d in schedule.of_kind(Vectorize):
-        changed = _lower_vectorize(typed, d, lenient) or changed
+    vectorizes = schedule.of_kind(Vectorize)
+    if vectorizes:
+        # one walk for all Vectorize directives (a pipeline may carry one
+        # per stage): each rewrites only its own innermost loop, so the
+        # other axes' loops stay put, and it takes no local's address
+        from ..passes.vectorize import _addr_taken_symbols
+        by_axis = _loops_by_axis(typed.body)
+        addr_taken = _addr_taken_symbols(typed.body)
+        for d in vectorizes:
+            changed = _lower_vectorize(typed, d, lenient, by_axis,
+                                       addr_taken) or changed
     if changed:
         _metric("sched.applied")
     return changed

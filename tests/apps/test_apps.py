@@ -24,15 +24,20 @@ class TestFluid:
         for _ in range(2):
             ref.step()
         ru, rv, rd = ref.get_state()
+        states = {}
         for vec, lb in [(0, False), (4, False), (0, True), (4, True)]:
             sim = make_orion_fluid(params, vectorize=vec, linebuffer=lb)
             sim.set_state(u, v, d)
             for _ in range(2):
                 sim.step()
-            ou, ov, od = sim.get_state()
+            ou, ov, od = states[vec, lb] = sim.get_state()
             assert np.allclose(ou, ru, atol=1e-4), (vec, lb)
             assert np.allclose(ov, rv, atol=1e-4), (vec, lb)
             assert np.allclose(od, rd, atol=1e-4), (vec, lb)
+        # vectorizing never changes a bit under one storage schedule
+        for lb in (False, True):
+            for vec_field, scalar_field in zip(states[4, lb], states[0, lb]):
+                assert np.array_equal(vec_field, scalar_field), lb
 
     def test_density_is_conserved_roughly(self):
         params = FluidParams(self.N, diff=0.0)

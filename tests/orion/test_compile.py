@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import get_backend
 from repro.errors import TerraError
 from repro.orion import lang as L
 from repro.orion.compile import compile_pipeline
+from repro.schedule import Schedule, Vectorize
+from repro.trace.metrics import registry
 
 N = 24
+
+
+def vec(width):
+    """The loop schedule vectorizing every stage's scanline by ``width``."""
+    return Schedule([Vectorize("x", width)])
 
 
 def zero_pad_ref(img, fn):
@@ -95,12 +103,7 @@ class TestCorrectness:
 
 
 class TestScheduleEquivalence:
-    SCHEDULES = [
-        dict(default_policy=L.MATERIALIZE, vectorize=0),
-        dict(default_policy=L.MATERIALIZE, vectorize=4),
-        dict(default_policy=L.INLINE, vectorize=0),
-        dict(default_policy=L.INLINE, vectorize=8),
-    ]
+    POLICIES = [L.MATERIALIZE, L.INLINE]
 
     def _pipeline(self):
         f = L.image("f")
@@ -109,12 +112,16 @@ class TestScheduleEquivalence:
         return s2(1, 1) - s2(-1, -1)
 
     def test_all_schedules_identical(self, img):
-        results = []
-        for kwargs in self.SCHEDULES:
-            out = compile_pipeline(self._pipeline(), N, **kwargs).run(img)
-            results.append(out)
-        for other in results[1:]:
-            assert np.allclose(results[0], other, atol=1e-6)
+        scalar = []
+        for policy, width in zip(self.POLICIES, (4, 8)):
+            base = compile_pipeline(self._pipeline(), N,
+                                    default_policy=policy).run(img)
+            out = compile_pipeline(self._pipeline(), N, default_policy=policy,
+                                   tile_schedule=vec(width)).run(img)
+            # vectorizing never changes a bit under one storage policy
+            assert np.array_equal(base, out)
+            scalar.append(base)
+        assert np.allclose(scalar[0], scalar[1], atol=1e-6)
 
     def test_linebuffer_matches(self, img):
         base = compile_pipeline(self._pipeline(), N).run(img)
@@ -147,12 +154,15 @@ class TestScheduleEquivalence:
                 e = read * 0.5
         base = compile_pipeline(e, N).run(image)
         schedule = [dict(default_policy=L.INLINE),
-                    dict(vectorize=4),
+                    dict(tile_schedule=vec(4)),
                     dict(default_policy=L.LINEBUFFER)][which_schedule]
         # linebuffering the output stage itself is not allowed; the
         # compiler forces materialize on outputs, so this always compiles
         out = compile_pipeline(e, N, **schedule).run(image)
-        assert np.allclose(base, out, atol=1e-5)
+        if "tile_schedule" in schedule:  # same storage policy as base
+            assert np.array_equal(base, out)
+        else:
+            assert np.allclose(base, out, atol=1e-5)
 
 
 class TestErrors:
@@ -167,9 +177,9 @@ class TestErrors:
             compile_pipeline(f(0, 0), N, schedule={"ghost": "inline"})
 
     def test_bad_vector_width(self):
-        f = L.image("f")
+        # the Vectorize directive validates widths (a TerraError)
         with pytest.raises(TerraError, match="width"):
-            compile_pipeline(f(0, 0), N, vectorize=3)
+            vec(3)
 
     def test_bad_policy(self):
         f = L.image("f")
@@ -198,7 +208,7 @@ class TestRuntimeParams:
         f = L.image("f")
         a = L.param("a")
         out = (f(0, 0) + a * (f(-1, 0) + f(1, 0))) / (1 + 2 * a)
-        pipe = compile_pipeline(out, N, vectorize=4)
+        pipe = compile_pipeline(out, N, tile_schedule=vec(4))
         assert np.allclose(pipe.run(img, a=0.0), img, atol=1e-6)
 
     def test_missing_param_rejected(self, img):
@@ -240,7 +250,7 @@ class TestMultiOutput:
         e2 = f(0, 1) - f(0, -1)
         sep1 = compile_pipeline(f(1, 0) - f(-1, 0), N).run(img)
         sep2 = compile_pipeline(f(0, 1) - f(0, -1), N).run(img)
-        both = compile_pipeline([e1, e2], N, vectorize=4).run(img)
+        both = compile_pipeline([e1, e2], N, tile_schedule=vec(4)).run(img)
         assert np.allclose(both[0], sep1, atol=1e-6)
         assert np.allclose(both[1], sep2, atol=1e-6)
 
@@ -261,67 +271,87 @@ class TestMultiOutput:
         a = mid(0, 0) + f(0, 0)
         b = mid(0, 0) - f(0, 0)
         base = compile_pipeline([a, b], N).run(img)
-        fused = compile_pipeline([a, b], N, vectorize=4).run(img)
-        assert np.allclose(base[0], fused[0], atol=1e-6)
-        assert np.allclose(base[1], fused[1], atol=1e-6)
+        fused = compile_pipeline([a, b], N, tile_schedule=vec(4)).run(img)
+        assert np.array_equal(base[0], fused[0])
+        assert np.array_equal(base[1], fused[1])
 
 
 class TestTileSchedule:
-    """Orion loop directives as first-class repro.schedule objects.
+    """Orion loop directives are first-class repro.schedule objects.
 
-    ``tile_schedule=Schedule([Vectorize("x", V), Parallel("y", NT)])``
-    must be pure sugar for the legacy ``vectorize=``/``parallel=``
-    arguments: byte-identical C (modulo the per-compile function-name
-    counter) and identical results."""
+    ``Vectorize("x", V)`` expands into one strict ``Vectorize`` per
+    stage scanline loop, lowered by the generic vectorizer: every stage
+    is vectorized (never a silent scalar fall-back) and the output is
+    bitwise equal to the scalar pipeline's."""
 
-    @staticmethod
-    def normalize(source):
-        import re
-        return re.sub(r"orionfn\d+", "orionfn", source)
+    NV = 21  # not a multiple of any width: every epilogue runs
+    #: computed stages (each with its own scanline loop) per policy
+    STAGES = {L.MATERIALIZE: 3, L.LINEBUFFER: 3, L.INLINE: 1}
 
-    def blur(self):
+    def pipeline(self, policy):
         f = L.image("f")
-        return L.stage((f(-1, 0) + f(0, 0) + f(1, 0)) / 3.0, "blur")
+        k = L.param("k")
+        s1 = L.stage((f(-1, 0) + f(1, 0) + f(0, -1) + f(0, 1)) * k, "s1",
+                     policy=policy)
+        s2 = L.stage(L.clamp(s1(0, 0) * 0.5 + f(0, 0), 0.1, 0.9), "s2",
+                     policy=policy)
+        return s2(2, 1) - s2(-1, -2)
 
-    def test_vectorize_byte_identical(self, img):
-        from repro.schedule import Schedule, Vectorize
-        blur = self.blur()  # one pipeline, compiled under both spellings
-        legacy = compile_pipeline(blur, N, vectorize=4)
-        new = compile_pipeline(
-            blur, N, tile_schedule=Schedule([Vectorize("x", 4)]))
-        assert self.normalize(new.source) == self.normalize(legacy.source)
-        assert np.array_equal(new.run(img), legacy.run(img))
+    def run(self, stencil, backend):
+        img = np.random.RandomState(3).rand(self.NV, self.NV) \
+            .astype(np.float32)
+        out = stencil.alloc_out()
+        stencil.fn.compile(get_backend(backend))(out, stencil.pad(img), 0.3)
+        return stencil.unpad(out)
 
-    def test_parallel_byte_identical(self, img):
-        from repro.schedule import Parallel, Schedule, Vectorize
-        blur = self.blur()
-        legacy = compile_pipeline(blur, N, vectorize=4, parallel=2)
-        new = compile_pipeline(
-            blur, N,
-            tile_schedule=Schedule([Vectorize("x", 4), Parallel("y", 2)]))
-        assert self.normalize(new.source) == self.normalize(legacy.source)
-        assert new.parallel_plan is not None
-        assert np.array_equal(new.run(img), legacy.run(img))
+    @pytest.mark.parametrize("backend", ["interp", "c"])
+    @pytest.mark.parametrize("policy", list(STAGES))
+    @pytest.mark.parametrize("width", [2, 4, 8, 16])
+    def test_vectorized_bitwise_equal(self, width, policy, backend):
+        scalar = compile_pipeline(self.pipeline(policy), self.NV)
+        vector = compile_pipeline(self.pipeline(policy), self.NV,
+                                  tile_schedule=vec(width))
+        assert np.array_equal(self.run(vector, backend),
+                              self.run(scalar, backend))
 
-    def test_legacy_args_record_a_schedule(self):
-        from repro.schedule import Parallel, Vectorize
-        s = compile_pipeline(self.blur(), N, vectorize=8)
-        assert s.tile_schedule.of_kind(Vectorize) == [Vectorize("x", 8)]
-        assert compile_pipeline(self.blur(), N).tile_schedule.key() \
-            == "naive"
+    @pytest.mark.parametrize("policy", list(STAGES))
+    def test_every_stage_vectorized(self, policy):
+        registry().reset("sched.")
+        stencil = compile_pipeline(self.pipeline(policy), self.NV,
+                                   tile_schedule=vec(4))
+        stencil.fn.compile("c")
+        assert registry().get("sched.vectorized") == self.STAGES[policy]
 
-    def test_mixing_spellings_rejected(self):
-        from repro.schedule import Schedule, ScheduleError, Vectorize
-        with pytest.raises(ScheduleError, match="not both"):
-            compile_pipeline(self.blur(), N, vectorize=4,
-                             tile_schedule=Schedule([Vectorize("x", 4)]))
+    def test_schedule_disable_compiles_scalar(self, monkeypatch):
+        """REPRO_TERRA_SCHEDULE_DISABLE=1 turns off the generic schedule
+        pass, so Orion's scanline loops stay scalar — same output."""
+        scalar = compile_pipeline(self.pipeline(L.MATERIALIZE), self.NV)
+        expect = self.run(scalar, "c")
+        monkeypatch.setenv("REPRO_TERRA_SCHEDULE_DISABLE", "1")
+        registry().reset("sched.")
+        stencil = compile_pipeline(self.pipeline(L.MATERIALIZE), self.NV,
+                                   tile_schedule=vec(8))
+        assert np.array_equal(self.run(stencil, "c"), expect)
+        assert registry().get("sched.vectorized") == 0
+
+    def test_records_the_schedule(self):
+        s = compile_pipeline(self.pipeline(L.MATERIALIZE), self.NV,
+                             tile_schedule=vec(8))
+        assert s.tile_schedule == vec(8)
+        assert compile_pipeline(self.pipeline(L.MATERIALIZE),
+                                self.NV).tile_schedule.key() == "naive"
 
     def test_unsupported_directives_rejected(self):
-        from repro.schedule import Block, Schedule, ScheduleError, \
-            Vectorize
+        from repro.schedule import Block, Parallel, ScheduleError
+        blur = self.pipeline(L.MATERIALIZE)
         with pytest.raises(ScheduleError, match="scanline axis 'x'"):
-            compile_pipeline(self.blur(), N,
+            compile_pipeline(blur, N,
                              tile_schedule=Schedule([Vectorize("y", 4)]))
+        with pytest.raises(ScheduleError, match="row axis 'y'"):
+            compile_pipeline(blur, N,
+                             tile_schedule=Schedule([Parallel("x", 2)]))
         with pytest.raises(ScheduleError, match="Block"):
-            compile_pipeline(self.blur(), N,
+            compile_pipeline(blur, N,
                              tile_schedule=Schedule([Block("x", 8)]))
+        with pytest.raises(ScheduleError, match="must be a"):
+            compile_pipeline(blur, N, tile_schedule=4)

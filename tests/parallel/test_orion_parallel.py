@@ -1,4 +1,4 @@
-"""The Orion ``parallel(axis)`` schedule directive.
+"""Orion's ``Parallel("y", NT)`` row-strip dispatch.
 
 Contract: a parallel schedule is *pure speedup* — for every policy mix,
 vector width, and worker count, the output is bit-identical to the
@@ -11,11 +11,21 @@ import re
 import numpy as np
 import pytest
 
-from repro.errors import TerraError
+from repro.errors import ScheduleError, TerraError
 from repro.orion import (INLINE, LINEBUFFER, MATERIALIZE, compile_pipeline,
-                         image, parallel, stage)
+                         image, stage)
+from repro.schedule import Parallel, Schedule, Vectorize
 
 N = 64
+
+
+def loops(vec=0, nthreads=None):
+    """The tile schedule: vector width ``vec`` (0: scalar), and strip
+    parallelism over ``nthreads`` workers (None: serial)."""
+    directives = [Vectorize("x", vec)] if vec else []
+    if nthreads is not None:
+        directives.append(Parallel("y", nthreads))
+    return Schedule(directives)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +55,11 @@ class TestBitIdentity:
                              ids=lambda s: "-".join(s.values()))
     def test_parallel_equals_serial(self, img, sched, vec):
         bx, by, out = blur_pipeline()
-        ref = compile_pipeline(out, N, vectorize=vec, schedule=sched).run(img)
+        ref = compile_pipeline(out, N, schedule=sched,
+                               tile_schedule=loops(vec)).run(img)
         bx, by, out = blur_pipeline()
-        cs = compile_pipeline(out, N, vectorize=vec, schedule=sched,
-                              parallel=parallel("y", 3))
+        cs = compile_pipeline(out, N, schedule=sched,
+                              tile_schedule=loops(vec, 3))
         assert cs.parallel_plan is not None
         got = cs.run(img)
         assert got.tobytes() == ref.tobytes()
@@ -61,7 +72,7 @@ class TestBitIdentity:
             s1 = stage(inp(-1, 0) + inp(1, 0), "s1")
             s2 = stage(s1(0, -1) * 0.5 + s1(0, 1) * 0.5, "s2")
             return compile_pipeline([s1, s2], N, schedule={s1: LINEBUFFER},
-                                    parallel=par)
+                                    tile_schedule=loops(nthreads=par))
         r1, r2 = build(None).run(img)
         p1, p2 = build(2).run(img)
         assert r1.tobytes() == p1.tobytes()
@@ -75,7 +86,7 @@ class TestBitIdentity:
             k = param("k")
             sm = stage(inp(0, -1) + inp(0, 1), "sm", bounded=True)
             return compile_pipeline(sm * k, N, schedule={sm: LINEBUFFER},
-                                    parallel=par)
+                                    tile_schedule=loops(nthreads=par))
         ref = build(None).run(img, k=0.3)
         got = build(4).run(img, k=0.3)
         assert got.tobytes() == ref.tobytes()
@@ -86,7 +97,7 @@ class TestSerialPathUnchanged:
         bx, by, out = blur_pipeline()
         return compile_pipeline(out, N, schedule={"bx": LINEBUFFER,
                                                   "by": LINEBUFFER},
-                                parallel=par)
+                                tile_schedule=loops(nthreads=par))
 
     @staticmethod
     def _norm(src):
@@ -97,7 +108,7 @@ class TestSerialPathUnchanged:
     def test_env_one_neutralizes_directive(self, monkeypatch):
         plain = self._build(None)
         monkeypatch.setenv("REPRO_TERRA_THREADS", "1")
-        neutered = self._build(parallel("y"))
+        neutered = self._build(0)
         assert neutered.parallel_plan is None
         assert self._norm(neutered.source) == self._norm(plain.source)
 
@@ -108,14 +119,16 @@ class TestSerialPathUnchanged:
 
     def test_env_overrides_explicit_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_TERRA_THREADS", "2")
-        cs = self._build(parallel("y", 16))
+        cs = self._build(16)
         assert cs.parallel_plan["nthreads"] == 2
 
 
 class TestDirectiveValidation:
     def test_only_y_axis(self):
-        with pytest.raises(TerraError, match="axis"):
-            parallel("x")
+        # x is the vectorize axis; Orion strips split rows only
+        with pytest.raises(ScheduleError, match="row axis 'y'"):
+            compile_pipeline(image("inp")(1, 0), N,
+                             tile_schedule=Schedule([Parallel("x", 2)]))
 
     def test_unsupported_shape_rejected_at_compile_time(self):
         # a linebuffered stage reading a materialized producer fused into
@@ -132,7 +145,8 @@ class TestDirectiveValidation:
             d = stage(a(0, 0) + b(0, 0), "d")
             return compile_pipeline(
                 d, N, schedule={a: LINEBUFFER, m: MATERIALIZE,
-                                b: LINEBUFFER}, parallel=par)
+                                b: LINEBUFFER},
+                tile_schedule=loops(nthreads=par))
         with pytest.raises(TerraError, match="strip-parallel"):
             build(2)
         build(None)  # the same schedule compiles fine serially
