@@ -42,10 +42,12 @@ bench-autovec:  # auto-vectorizer speedup vs scalar C (writes BENCH_autovec.json
 
 schedule-smoke:  # the tile-schedule gate: directive/lowering/workload tests
 	# (every point bit-identical to naive across backends x levels),
-	# Orion (its vector loops come from the schedule lowering),
-	# fixed-seed fuzz with the lenient sched configs in the matrix
-	# (verifier on), then the ablation benchmark
-	$(PYTHON) -m pytest tests/schedule tests/orion tests/parallel/test_orion_parallel.py -q
+	# Orion (its vector loops come from the schedule lowering), GEMM
+	# (its Parallel goes through the schedule lowering), fixed-seed
+	# fuzz with the lenient sched configs in the matrix (verifier on),
+	# then the ablation benchmark
+	$(PYTHON) -m pytest tests/schedule tests/orion tests/parallel/test_orion_parallel.py \
+		tests/autotune tests/parallel/test_integration.py -q
 	REPRO_TERRA_VERIFY_IR=1 $(PYTHON) -m repro.fuzz --seed 20260806 --count 300 --schedule
 	$(PYTHON) -m pytest benchmarks/test_schedule.py -p no:benchmark -q -s
 

@@ -26,10 +26,24 @@ def genkernel(NB: int, RM: int, RN: int, V: int, alpha: float,
               elem: T.Type = double, use_prefetch: bool = True):
     """Generate the L1-sized kernel (paper Fig. 5).
 
-    Requires ``NB % RM == 0`` and ``NB % (RN*V) == 0``.  Returns a Terra
-    function ``(A, B, C : &elem, lda, ldb, ldc : int64) -> {}``.
+    Requires positive sizes, ``NB % RM == 0`` and ``NB % (RN*V) == 0``
+    (a ``ValueError`` names the violated constraint: the kernel walks
+    whole register blocks, so any other tuple reads and writes past its
+    NB×NB block).  Returns a Terra function
+    ``(A, B, C : &elem, lda, ldb, ldc : int64) -> {}``.
     """
-    assert NB % RM == 0 and NB % (RN * V) == 0, (NB, RM, RN, V)
+    sizes = dict(NB=NB, RM=RM, RN=RN, V=V)
+    for name, value in sizes.items():
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"genkernel: {name} must be a positive int, "
+                             f"got {value!r}")
+    if NB % RM:
+        raise ValueError(f"genkernel: NB % RM == 0 violated — {RM} "
+                         f"register rows do not divide the {NB}-row block")
+    if NB % (RN * V):
+        raise ValueError(f"genkernel: NB % (RN*V) == 0 violated — "
+                         f"RN*V = {RN * V} columns do not divide the "
+                         f"{NB}-column block")
     vector_type = vector(elem, V)
     vector_pointer = pointer(vector_type)
     eptr = pointer(elem)

@@ -5,16 +5,23 @@ where the matrices fit into L1 cache.  An optimized kernel for L1-sized
 multiplies is used for each operation. ... We found that a simple
 two-level blocking scheme worked well."
 
-``make_gemm`` stages the outer two-level blocking around two instances of
-the L1 kernel (an ``alpha=0`` variant for the first k-panel, which also
-initializes C, and an ``alpha=1`` accumulating variant), computing
-``C = A*B`` for square row-major matrices whose size is a multiple of NB.
+One staging function builds ``gemm(C, A, B, N)`` for any square
+row-major N: a row-panel loop around two instances of the L1 kernel (an
+``alpha=0`` variant for the first k-block, which also initializes C, and
+an ``alpha=1`` accumulating variant), with naive loops for whatever the
+NB-blocked interior leaves out.  Panel packing is spliced in or left
+out; thread dispatch is a ``Parallel("i_o")`` schedule directive.
+``make_gemm``/``make_gemm_packed`` take the (NB, RM, RN, V) tuple,
+``make_gemm_from_schedule`` the tuner's :class:`repro.schedule.Schedule`.
 """
 
 from __future__ import annotations
 
-from .. import double, terra
+from .. import (double, expr, includec, int64, pointer, quote_, symbol,
+               terra)
 from ..core import types as T
+from ..schedule import (Pack, Parallel, Schedule, ScheduleError, Tile, Unroll,
+                        Vectorize, apply)
 from .genkernel import genkernel
 
 
@@ -34,204 +41,126 @@ def _start_compile(gemm, fma: bool, async_compile: bool) -> None:
         gemm.compile_async("c")
 
 
-def _gemm_edges(NB: int, elem: T.Type):
-    """``gemm_edges(C, A, B, N)``: everything the NB-blocked interior
-    leaves out when NB does not divide N — the k tail of the interior,
-    then the bottom rows and right columns as naive full-k dot products.
-    Every GEMM maker runs it after its interior."""
-    return terra("""
-    terra gemm_edges(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB
-      if N0 == N then return end
-      -- k tail for the blocked interior
-      for i = 0, N0 do
-        for k = N0, N do
-          var aik = A[i * N + k]
-          for j = 0, N0 do
-            C[i * N + j] = C[i * N + j] + aik * B[k * N + j]
+def _stage_gemm(NB: int, RM: int, RN: int, V: int, elem: T.Type,
+                use_prefetch: bool, fma: bool, async_compile: bool,
+                packed: bool, parallel=None):
+    """Stage ``gemm(C, A, B, N)`` for any N as one row-panel loop
+    ``for i_o = 0, N, NB`` (the axis ``Parallel("i_o")`` dispatches).
+
+    A full panel runs the NB-blocked interior over ``(nb, kb)`` —
+    ``l1_first`` at ``kb == 0``, ``l1_accum`` after — then its k tail,
+    then its right-edge columns as naive full-k dot products; the
+    partial last panel is all naive dot products.  Every element thus
+    accumulates in ascending k, as ``naive_matmul`` does.
+
+    ``packed`` splices in ATLAS-style panel packing: each L1 block of A
+    and B is copied into per-panel scratch, so the kernel sees unit
+    stride and no cache-set conflicts.  Unpacked, the kernel reads the
+    blocks in place with leading dimension N.  A ``parallel`` directive
+    is attached with :func:`repro.schedule.apply`."""
+    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
+    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
+    eptr = pointer(elem)
+    C, A, B = symbol(eptr, "C"), symbol(eptr, "A"), symbol(eptr, "B")
+    N, i_o, nb, kb = (symbol(int64, s) for s in ("N", "i_o", "nb", "kb"))
+    if packed:
+        std = includec("stdlib.h")
+        pa, pb, ld = symbol(eptr, "bufA"), symbol(eptr, "bufB"), NB
+        alloc = quote_("""
+          var [pa] = [eptr](std.malloc(NB * NB * sizeof(elem)))
+          var [pb] = [eptr](std.malloc(NB * NB * sizeof(elem)))
+        """)
+        pack = quote_("""
+          for i = 0, NB do   -- B[kb : kb+NB, nb : nb+NB]
+            var src = [B] + ([kb] + i) * [N] + [nb]
+            var dst = [pb] + i * NB
+            for j = 0, NB do dst[j] = src[j] end
+          end
+          for i = 0, NB do   -- A[i_o : i_o+NB, kb : kb+NB]
+            var src = [A] + ([i_o] + i) * [N] + [kb]
+            var dst = [pa] + i * NB
+            for j = 0, NB do dst[j] = src[j] end
+          end
+        """)
+        free = quote_("""
+          std.free([pa])
+          std.free([pb])
+        """)
+    else:
+        pa = expr("[A] + [i_o] * [N] + [kb]")
+        pb = expr("[B] + [kb] * [N] + [nb]")
+        ld, alloc, pack, free = N, [], [], []
+    gemm = terra("""
+    terra gemm([C] : &elem, [A] : &elem, [B] : &elem, [N] : int64) : {}
+      var N0 = ([N] / NB) * NB   -- the extent of the blocked interior
+      for [i_o] = 0, [N], NB do
+        var ilim, jlo = [N], int64(0)   -- a partial panel is all naive
+        if [i_o] < N0 then
+          ilim, jlo = [i_o] + NB, N0
+          [alloc]
+          for [nb] = 0, N0, NB do
+            for [kb] = 0, N0, NB do
+              [pack]
+              var c = [C] + [i_o] * [N] + [nb]
+              if [kb] == 0 then l1_first([pa], [pb], c, [ld], [ld], [N])
+              else l1_accum([pa], [pb], c, [ld], [ld], [N]) end
+            end
+          end
+          [free]
+          for i = [i_o], ilim do   -- the panel's k tail
+            for k = N0, [N] do
+              var aik = [A][i * [N] + k]
+              for j = 0, N0 do
+                [C][i * [N] + j] = [C][i * [N] + j] + aik * [B][k * [N] + j]
+              end
+            end
+          end
+        end
+        for i = [i_o], ilim do   -- naive columns [jlo, N), full k
+          for j = jlo, [N] do
+            var sum = [zero]
+            for k = 0, [N] do
+              sum = sum + [A][i * [N] + k] * [B][k * [N] + j]
+            end
+            [C][i * [N] + j] = sum
           end
         end
       end
-      -- bottom edge rows (full k)
-      for i = N0, N do
-        for j = 0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
-      -- right edge columns above the bottom edge (full k)
-      for i = 0, N0 do
-        for j = N0, N do
-          var sum = [zeroconst]
-          for k = 0, N do sum = sum + A[i * N + k] * B[k * N + j] end
-          C[i * N + j] = sum
-        end
-      end
     end
-    """, env=dict(elem=elem, NB=NB, zeroconst=_zero(elem)))
+    """, env=dict(zero=_zero(elem)))
+    if parallel is not None:
+        gemm = apply(gemm, Schedule([parallel]))
+    _start_compile(gemm, fma, async_compile)
+    return gemm
 
 
 def make_gemm(NB: int, RM: int, RN: int, V: int, elem: T.Type = double,
               use_prefetch: bool = True, fma: bool = True,
               async_compile: bool = False):
-    """Build ``gemm(C, A, B, N)`` for any N.
-
-    The blocked interior covers the largest multiple of NB; the k tail
-    and the bottom/right edges run in the naive ``gemm_edges`` shared by
-    every GEMM maker (an earlier version assumed NB | N and read and
-    wrote past the matrices otherwise).
+    """Build ``gemm(C, A, B, N)`` for any N, with the L1 blocks read in
+    place.
 
     ``fma=True`` compiles the kernel with fused multiply-add contraction
     (what a hand-tuned BLAS uses on FMA hardware); pass False for strict
-    per-operation IEEE results.  ``async_compile=True`` returns while gcc
-    still runs on the :mod:`repro.buildd` pool (the auto-tuner uses this
-    to overlap candidate compilation with timing runs).
+    per-operation IEEE results, bitwise equal to :func:`naive_matmul`.
+    ``async_compile=True`` returns while gcc still runs on the
+    :mod:`repro.buildd` pool (the auto-tuner uses this to overlap
+    candidate compilation with timing runs).
     """
-    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
-    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
-    gemm = terra("""
-    terra gemm(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
-      for mb = 0, N0, NB do
-        for nb = 0, N0, NB do
-          l1_first(A + mb*N, B + nb, C + mb*N + nb, N, N, N)
-          for kb = NB, N0, NB do
-            l1_accum(A + mb*N + kb, B + kb*N + nb, C + mb*N + nb, N, N, N)
-          end
-        end
-      end
-      edges(C, A, B, N)
-    end
-    """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  edges=_gemm_edges(NB, elem)))
-    _start_compile(gemm, fma, async_compile)
-    return gemm
+    return _stage_gemm(NB, RM, RN, V, elem, use_prefetch, fma,
+                       async_compile, packed=False)
 
 
 def make_gemm_packed(NB: int, RM: int, RN: int, V: int,
                      elem: T.Type = double, use_prefetch: bool = True,
                      fma: bool = True, async_compile: bool = False):
-    """Blocked GEMM with ATLAS-style panel packing.
-
-    Each L1 block of A and B is copied into a contiguous scratch buffer
-    before the micro-kernel runs, so the kernel's inner loops see unit
-    stride and no cache-set conflicts — the same data-copy strategy ATLAS
-    uses around its generated kernels.  Usually several GFLOPS faster than
-    :func:`make_gemm` at large N.
+    """:func:`make_gemm` with ATLAS-style panel packing: each L1 block of
+    A and B is copied into contiguous scratch before the micro-kernel
+    runs — the data-copy strategy ATLAS uses around its generated
+    kernels.  Usually several GFLOPS faster at large N.
     """
-    from .. import includec
-    std = includec("stdlib.h")
-    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
-    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
-    gemm = terra("""
-    terra gemm(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
-      var bufA = [&elem](std.malloc(NB * NB * sizeof(elem)))
-      var bufB = [&elem](std.malloc(NB * NB * sizeof(elem)))
-      for nb = 0, N0, NB do
-        for kb = 0, N0, NB do
-          -- pack B[kb : kb+NB, nb : nb+NB] contiguously
-          for i = 0, NB do
-            var src = B + (kb + i) * N + nb
-            var dst = bufB + i * NB
-            for j = 0, NB do dst[j] = src[j] end
-          end
-          for mb = 0, N0, NB do
-            -- pack A[mb : mb+NB, kb : kb+NB]
-            for i = 0, NB do
-              var src = A + (mb + i) * N + kb
-              var dst = bufA + i * NB
-              for j = 0, NB do dst[j] = src[j] end
-            end
-            if kb == 0 then
-              l1_first(bufA, bufB, C + mb * N + nb, NB, NB, N)
-            else
-              l1_accum(bufA, bufB, C + mb * N + nb, NB, NB, N)
-            end
-          end
-        end
-      end
-      std.free(bufA)
-      std.free(bufB)
-      edges(C, A, B, N)
-    end
-    """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  std=std, edges=_gemm_edges(NB, elem)))
-    _start_compile(gemm, fma, async_compile)
-    return gemm
-
-
-def make_gemm_packed_parallel(NB: int, RM: int, RN: int, V: int,
-                              elem: T.Type = double,
-                              use_prefetch: bool = True, fma: bool = True,
-                              nthreads: int = 0):
-    """Packed GEMM whose row-panel loop runs across worker threads.
-
-    The kernel is restructured so ``mb`` (the C row-panel index) is the
-    *outer* loop: each panel of C has exactly one writer, so panels
-    dispatch independently, and each chunk call packs into its own
-    freshly-malloc'd scratch (per-worker buffers for free).  Per element
-    of C the k-accumulation order is unchanged, so the result is
-    bit-identical to the serial packed GEMM.  Edge tails (N not a
-    multiple of NB) run serially after the panels.
-
-    Returns a Python driver ``gemm(C, A, B, N)``; the staged pieces are
-    exposed as ``gemm.panels`` / ``gemm.edges`` for inspection.
-    """
-    from .. import includec
-    from ..parallel import default_nthreads, parallel_for
-    std = includec("stdlib.h")
-    l1_first = genkernel(NB, RM, RN, V, 0.0, elem, use_prefetch)
-    l1_accum = genkernel(NB, RM, RN, V, 1.0, elem, use_prefetch)
-    panels = terra("""
-    terra gemm_panels(C : &elem, A : &elem, B : &elem, N : int64) : {}
-      var N0 = (N / NB) * NB     -- the blocked interior; edges go naive
-      for mb = 0, N0, NB do
-        var bufA = [&elem](std.malloc(NB * NB * sizeof(elem)))
-        var bufB = [&elem](std.malloc(NB * NB * sizeof(elem)))
-        for nb = 0, N0, NB do
-          for kb = 0, N0, NB do
-            -- pack B[kb : kb+NB, nb : nb+NB] contiguously
-            for i = 0, NB do
-              var src = B + (kb + i) * N + nb
-              var dst = bufB + i * NB
-              for j = 0, NB do dst[j] = src[j] end
-            end
-            -- pack A[mb : mb+NB, kb : kb+NB]
-            for i = 0, NB do
-              var src = A + (mb + i) * N + kb
-              var dst = bufA + i * NB
-              for j = 0, NB do dst[j] = src[j] end
-            end
-            if kb == 0 then
-              l1_first(bufA, bufB, C + mb * N + nb, NB, NB, N)
-            else
-              l1_accum(bufA, bufB, C + mb * N + nb, NB, NB, N)
-            end
-          end
-        end
-        std.free(bufA)
-        std.free(bufB)
-      end
-    end
-    """, env=dict(elem=elem, NB=NB, l1_first=l1_first, l1_accum=l1_accum,
-                  std=std)).mark_chunked()
-    edges = _gemm_edges(NB, elem)
-    _start_compile(panels, fma, False)
-    _start_compile(edges, fma, False)
-
-    def gemm(C, A, B, N):
-        N0 = (N // NB) * NB
-        parallel_for(panels, 0, N0, C, A, B, N,
-                     nthreads=default_nthreads(nthreads), grain=NB)
-        if N0 != N:
-            edges(C, A, B, N)
-
-    gemm.panels = panels
-    gemm.edges = edges
-    gemm.NB = NB
-    return gemm
+    return _stage_gemm(NB, RM, RN, V, elem, use_prefetch, fma,
+                       async_compile, packed=True)
 
 
 def make_gemm_from_schedule(schedule, elem: T.Type = double,
@@ -239,9 +168,10 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
                             async_compile: bool = False):
     """Build a staged GEMM from a :class:`repro.schedule.Schedule`.
 
-    The schedule *describes* the candidate; the kernel is still staged
-    by the proven makers above, so a schedule and its (NB, RM, RN, V)
-    tuple produce byte-identical C.  Directive mapping:
+    The schedule describes the candidate; the builder consumes the
+    blocking, register and packing directives, and a ``Parallel`` goes
+    to :func:`repro.schedule.apply` like any other scheduled kernel's.
+    Directive mapping:
 
     ==========================  ===========================================
     ``Tile(("i","j"),(NB,NB))`` the square L1 cache block (required)
@@ -251,16 +181,14 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
                                 ``jj`` is the vector-column axis inside a
                                 j-tile — distinct from the lane axis ``j``)
     ``Pack("a"/"b","panel")``   ATLAS-style panel packing (both or neither)
-    ``Parallel("i_o", NT)``     row-panel thread dispatch (implies packing;
-                                ``i_o`` is the outer chunk loop the Tile
-                                creates — the generic lowering's name for it)
+    ``Parallel("i_o", NT)``     row-panel thread dispatch, packed or not
+                                (``i_o`` is the row-panel loop, the Tile's
+                                outer chunk loop in the generic naming)
     ==========================  ===========================================
 
     Anything else — or a directive violating the micro-kernel's
     divisibility constraints — raises :class:`ScheduleError` naming it.
     """
-    from ..schedule import (Pack, Parallel, Schedule, ScheduleError, Tile,
-                            Unroll, Vectorize)
     if not isinstance(schedule, Schedule):
         raise ScheduleError(
             f"make_gemm_from_schedule needs a Schedule, got {schedule!r}")
@@ -300,8 +228,7 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
     par = schedule.parallel
     if par is not None and par.axis != "i_o":
         raise ScheduleError(
-            f"{par}: GEMM parallelizes the row-panel axis 'i_o' (the "
-            f"outer chunk loop of the Tile)")
+            f"{par}: GEMM parallelizes its row-panel loop 'i_o'")
     for d in schedule:
         if not isinstance(d, (Tile, Vectorize, Unroll, Pack, Parallel)):
             raise ScheduleError(
@@ -314,12 +241,8 @@ def make_gemm_from_schedule(schedule, elem: T.Type = double,
         raise ScheduleError(
             f"Unroll('jj', {RN}): RN*V = {RN * V} must divide the "
             f"{NB}-column L1 block")
-    if par is not None:
-        return make_gemm_packed_parallel(NB, RM, RN, V, elem,
-                                         use_prefetch, fma,
-                                         nthreads=par.nthreads)
-    maker = make_gemm_packed if pack_ops else make_gemm
-    return maker(NB, RM, RN, V, elem, use_prefetch, fma, async_compile)
+    return _stage_gemm(NB, RM, RN, V, elem, use_prefetch, fma,
+                       async_compile, packed=bool(pack_ops), parallel=par)
 
 
 def blocked_matmul(NB: int, elem: T.Type = double):

@@ -42,8 +42,7 @@ class Candidate:
         """This candidate as a :class:`repro.schedule.Schedule` — the
         tuner's search space in the first-class schedule vocabulary
         (see :func:`repro.autotune.make_gemm_from_schedule` for the
-        directive mapping).  ``candidate.schedule()`` round-trips:
-        staging it produces byte-identical C to the legacy maker."""
+        directive mapping)."""
         from ..schedule import Pack, Schedule, Tile, Unroll, Vectorize
         directives = [Tile(("i", "j"), (self.NB, self.NB)),
                       Vectorize("j", self.V)]
@@ -135,10 +134,6 @@ def tune(test_size: int = 512, elem: T.Type = double,
     best: Optional[Candidate] = None
     best_gflops = -1.0
     best_gemm = None
-    # every candidate is feasible at any test size: both GEMM makers
-    # handle N % NB != 0 through their edge loops (an earlier version
-    # silently dropped every candidate whose NB did not divide the test
-    # size, which for e.g. test_size=500 was *all* of them)
     # stage every candidate first; with parallel_compile each staged kernel
     # is already building on the pool while the next one is staged (the
     # paper's "JIT-compiles the code" step, made concurrent)

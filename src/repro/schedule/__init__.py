@@ -184,8 +184,10 @@ class Parallel(Directive):
     """Dispatch ``axis`` across worker threads via the kernel's chunked
     C entry (:mod:`repro.parallel`).  The axis must be the kernel's
     final top-level loop with host-evaluable bounds (constants or whole
-    parameters); each worker runs a contiguous ``[lo, hi)`` slice, so
-    results are bit-identical to serial for independent iterations.
+    parameters) and a constant positive step; each worker runs the
+    iterates inside a contiguous ``[lo, hi)`` slice (cut on multiples
+    of the step), so results are bit-identical to serial for
+    independent iterations.
     ``nthreads=0`` defers to ``REPRO_TERRA_THREADS`` / the core count."""
 
     axis: str
@@ -383,9 +385,6 @@ class Schedule:
         return (Schedule(hit, strict=self.strict),
                 Schedule(rest, strict=self.strict))
 
-    def without_packs(self) -> "Schedule":
-        return self.partition(lambda d: isinstance(d, Pack))[1]
-
 
 # -- application ------------------------------------------------------------------
 
@@ -417,15 +416,16 @@ class ScheduledKernel:
         if par is None or _env_disabled():
             return self.fn(*args)
         from ..parallel import parallel_for
-        lo, hi = self._axis_bounds(args)
+        lo, hi, step = self._axis_bounds(args)
         return parallel_for(self.fn, lo, hi, *args,
                             nthreads=par.nthreads,
-                            grain=self.schedule.split_size(par.axis))
+                            grain=self.schedule.split_size(par.axis) * step)
 
-    def _axis_bounds(self, args) -> tuple[int, int]:
-        """The Parallel axis' (start, limit) for this call — recorded by
-        the schedule pass as (expr, expr) and evaluated against the
-        actual arguments (constants or whole parameters only)."""
+    def _axis_bounds(self, args) -> tuple[int, int, int]:
+        """The Parallel axis' (start, limit, step) for this call —
+        recorded by the schedule pass as (expr, expr, int) and evaluated
+        against the actual arguments (constants or whole parameters
+        only)."""
         self.fn.compile("c")  # runs the schedule pass if it hasn't yet
         typed = self.fn.typed
         bounds = getattr(typed, "_sched_parallel_bounds", None)
@@ -448,7 +448,7 @@ class ScheduledKernel:
                 f"{self.schedule.parallel}: cannot evaluate loop bound "
                 f"for host-side dispatch")
 
-        return ev(bounds[0]), ev(bounds[1])
+        return ev(bounds[0]), ev(bounds[1]), bounds[2]
 
 
 def apply(fn, schedule) -> ScheduledKernel:

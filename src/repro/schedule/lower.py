@@ -130,12 +130,28 @@ def _has_reachable_break(block) -> bool:
     return False
 
 
-def _qualify(typed, loop, directive) -> None:
-    """Common legality for Block/Tile/Unroll: raise ScheduleError (the
-    lenient path catches it) when the rewrite cannot be proven exact."""
-    step = loop.step
-    if step is not None and not (isinstance(step, tast.TConst)
-                                 and step.value == 1):
+def _const_step(loop):
+    """The loop's step as a Python int (1 when omitted), or None when
+    it is not a constant."""
+    e = loop.step
+    if e is None:
+        return 1
+    if isinstance(e, tast.TConst) and type(e.value) is int:
+        return e.value
+    return None
+
+
+def _qualify(typed, loop, directive, strided: bool = False) -> None:
+    """Common legality for Block/Tile/Unroll (and Parallel, which passes
+    ``strided`` to admit any constant positive step): raise
+    ScheduleError (the lenient path catches it) when the rewrite cannot
+    be proven exact."""
+    step = _const_step(loop)
+    if strided and not (step is not None and step > 0):
+        raise ScheduleError(
+            f"{directive}: axis {loop.symbol.displayname!r} needs a "
+            f"constant positive step to be split into chunks")
+    if not strided and step != 1:
         raise ScheduleError(
             f"{directive}: axis {loop.symbol.displayname!r} has a "
             f"non-unit step; only unit-stride axes can be split")
@@ -518,7 +534,7 @@ def _validate_parallel(typed, d: Parallel) -> None:
             f"{d}: {typed.name!r} returns {typed.type.returntype}; "
             f"parallel kernels must return nothing (results go through "
             f"out-pointers)")
-    _qualify(typed, loop, d)
+    _qualify(typed, loop, d, strided=True)
     params = set(typed.param_symbols)
 
     def host_evaluable(expr) -> bool:
@@ -535,7 +551,8 @@ def _validate_parallel(typed, d: Parallel) -> None:
                 f"whole parameters so the host can split [lo, hi) "
                 f"across workers")
     typed._sched_parallel_bounds = (tast.clone(loop.start),
-                                    tast.clone(loop.limit))
+                                    tast.clone(loop.limit),
+                                    _const_step(loop))
 
 
 # -- entry ------------------------------------------------------------------------

@@ -75,8 +75,21 @@ class TestL1Kernel:
         assert np.allclose(C, A @ B, atol=1e-4)
 
     def test_invalid_blocking_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match=r"NB % RM == 0"):
             genkernel(8, 3, 1, 4, 0.0)  # 8 % 3 != 0
+        with pytest.raises(ValueError, match=r"NB % \(RN\*V\) == 0"):
+            genkernel(8, 1, 3, 2, 0.0)  # 8 % 6 != 0
+        for bad in ((0, 1, 1, 4), (8, 0, 1, 4), (8, 1, -2, 4), (8, 1, 1, 0)):
+            with pytest.raises(ValueError, match="positive"):
+                genkernel(*bad, 0.0)
+
+    def test_invalid_blocking_rejected_through_make_gemm(self):
+        # a typed error, not an assert: under ``python -O`` an assert
+        # vanishes and the kernel reads and writes past its block
+        with pytest.raises(ValueError, match=r"NB % \(RN\*V\) == 0"):
+            make_gemm(NB=32, RM=4, RN=3, V=4)
+        with pytest.raises(ValueError, match="NB must be a positive"):
+            make_gemm(NB=0, RM=1, RN=1, V=4)
 
     def test_prefetch_off_same_result(self):
         NB = 8
@@ -210,27 +223,43 @@ class TestPackedGemm:
         assert np.allclose(C, A @ B, atol=1e-3)
 
 
+# (NB, RM, RN, V) per element type, and the variants every one of them
+# stages: packed or not, serial or through Parallel("i_o", 3)
+BITWISE_CONFIGS = {double: (32, 4, 2, 4), float_: (32, 4, 2, 8)}
+BITWISE_VARIANTS = [(False, False), (True, False), (False, True),
+                    (True, True)]
+
+
 class TestScheduleMigration:
     """The tuner's candidate vocabulary as first-class schedules:
-    ``Candidate.schedule()`` → ``make_gemm_from_schedule`` must produce
-    byte-identical C to the legacy (NB, RM, RN, V) makers."""
+    ``Candidate.schedule()`` → ``make_gemm_from_schedule``, with
+    ``Parallel("i_o")`` dispatched by :func:`repro.schedule.apply`."""
 
-    def test_packed_byte_identical(self):
-        from repro.autotune.matmul import (make_gemm_from_schedule,
-                                           make_gemm_packed)
+    @pytest.mark.parametrize("elem", [double, float_], ids=["f64", "f32"])
+    @pytest.mark.parametrize("packed,parallel", BITWISE_VARIANTS,
+                             ids=["unpacked", "packed", "unpacked-par3",
+                                  "packed-par3"])
+    def test_bitwise_equal_to_naive(self, elem, packed, parallel):
+        """Strict IEEE (``fma=False``): every variant accumulates each
+        element in ascending k, exactly like the naive triple loop."""
+        from repro.autotune.matmul import make_gemm_from_schedule
         from repro.autotune.tuner import Candidate
-        cand = Candidate(32, 4, 2, 4)
-        legacy = make_gemm_packed(32, 4, 2, 4)
-        migrated = make_gemm_from_schedule(cand.schedule(packed=True))
-        assert migrated.get_c_source() == legacy.get_c_source()
-
-    def test_unpacked_byte_identical(self):
-        from repro.autotune.matmul import make_gemm, make_gemm_from_schedule
-        from repro.autotune.tuner import Candidate
-        cand = Candidate(16, 2, 1, 4)
-        legacy = make_gemm(16, 2, 1, 4)
-        migrated = make_gemm_from_schedule(cand.schedule(packed=False))
-        assert migrated.get_c_source() == legacy.get_c_source()
+        from repro.schedule import Parallel, Schedule, ScheduledKernel
+        NB, RM, RN, V = BITWISE_CONFIGS[elem]
+        s = Candidate(NB, RM, RN, V).schedule(packed)
+        if parallel:
+            s = Schedule(list(s) + [Parallel("i_o", 3)])
+        gemm = make_gemm_from_schedule(s, elem, fma=False)
+        assert isinstance(gemm, ScheduledKernel) == parallel
+        naive = naive_matmul(elem)
+        dtype = np.float64 if elem is double else np.float32
+        for N in (NB - 3, NB, 2 * NB + 5, 3 * NB + 1):
+            A, B, C = _abc(N, dtype, seed=N)
+            C[:] = np.nan  # every element must be written, none read
+            ref = np.zeros_like(C)
+            gemm(C, A, B, N)
+            naive(ref, A, B, N)
+            assert C.tobytes() == ref.tobytes(), N
 
     def test_candidate_schedule_shape(self):
         from repro.autotune.tuner import Candidate
@@ -280,12 +309,17 @@ class TestScheduleMigration:
                                            make_gemm_packed)
         from repro.autotune.tuner import Candidate
         from repro.schedule import Parallel, Schedule
+        from repro.trace.metrics import registry
         cand = Candidate(32, 2, 2, 4)
-        s = Schedule(list(cand.schedule()) + [Parallel("i_o")])
+        s = Schedule(list(cand.schedule()) + [Parallel("i_o", 3)])
         par = make_gemm_from_schedule(s)
+        assert par.schedule == Schedule([Parallel("i_o", 3)])
         N = 70
         A, B, C = _abc(N, np.float64, seed=3)
+        before = registry().get("parallel.chunks")
         par(C, A, B, N)
+        # chunk cuts sit on panel starts: [0, 32) and [32, 70)
+        assert registry().get("parallel.chunks") - before == 2
         C2 = np.zeros_like(C)
         make_gemm_packed(32, 2, 2, 4)(C2, A, B, N)
         assert np.array_equal(C, C2)  # bit-identical to serial packed

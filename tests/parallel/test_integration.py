@@ -77,8 +77,13 @@ class TestDataTableMapRows:
 
 class TestParallelGemm:
     def test_panels_bit_identical_to_serial_packed(self):
-        from repro.autotune.matmul import (make_gemm_packed,
-                                           make_gemm_packed_parallel)
+        from repro.autotune.matmul import (make_gemm_from_schedule,
+                                           make_gemm_packed)
+        from repro.autotune.tuner import Candidate
+        from repro.schedule import Parallel, Schedule
+        s = Schedule(list(Candidate(32, 4, 2, 2).schedule(packed=True))
+                     + [Parallel("i_o", 3)])
+        gemm = make_gemm_from_schedule(s)
         for n in (64, 70):  # multiple of NB, and with edge tails
             rng = np.random.RandomState(3)
             A = rng.rand(n, n)
@@ -86,7 +91,6 @@ class TestParallelGemm:
             Cs = np.zeros((n, n))
             Cp = np.zeros((n, n))
             make_gemm_packed(32, 4, 2, 2)(Cs, A, B, n)
-            gemm = make_gemm_packed_parallel(32, 4, 2, 2, nthreads=3)
             gemm(Cp, A, B, n)
             assert Cs.tobytes() == Cp.tobytes()
             assert np.allclose(Cs, A @ B)

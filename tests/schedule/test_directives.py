@@ -165,7 +165,6 @@ class TestScheduleObject:
         assert rest.strict is False
         assert s.packs == [Pack("b")]
         assert s.parallel == Parallel("i")
-        assert s.without_packs() == rest
         assert s.of_kind(Block) == [Block("i", 8)]
 
     def test_bool_and_iter(self):

@@ -49,6 +49,15 @@ end
 """
 
 
+STRIDED = """
+terra strided(n : int64, x : &float) : {}
+  for i = 1, n, 3 do
+    x[i] = x[i] * 2.0f + 1.0f
+  end
+end
+"""
+
+
 def build(src, schedule=None, env=None):
     fn = terra(src, env=env or {})
     if schedule is not None:
@@ -219,6 +228,15 @@ class TestStrictRejection:
         """
         self.expect(stepped, Schedule([Block("i", 8)]), "non-unit step")
 
+    def test_parallel_needs_constant_step(self):
+        self.expect(STRIDED.replace(", 3 do", ", s do").replace(
+            "x : &float", "x : &float, s : int64"),
+            Schedule([Parallel("i")]), "constant positive step")
+
+    def test_block_rejects_strided_parallel_axis(self):
+        self.expect(STRIDED, Schedule([Block("i", 8), Parallel("i")]),
+                    "non-unit step")
+
     def test_break_in_body(self):
         breaky = """
         terra breaky(n : int64, x : &float) : {}
@@ -294,6 +312,29 @@ class TestParallelDispatch:
         k = build(SAXPY, Schedule([Block("i", 16), Parallel("i")]))
         k(n, 1.5, x, y1)  # host-side parallel_for over the chunked entry
         assert np.array_equal(y1, y0)
+
+    def test_strided_final_loop(self, monkeypatch):
+        """A constant positive step is accepted; chunk cuts land on
+        iterates, and every iterate runs exactly once."""
+        import repro.parallel as par
+        cuts = []
+        real = par.split_range
+
+        def spy(lo, hi, nparts, align=1):
+            out = real(lo, hi, nparts, align)
+            cuts.extend(out)
+            return out
+
+        monkeypatch.setattr(par, "split_range", spy)
+        n = 100
+        x0 = np.random.RandomState(5).rand(n).astype(np.float32)
+        x1 = x0.copy()
+        build(STRIDED).compile(get_backend("c"))(n, x0)
+        k = build(STRIDED, Schedule([Parallel("i", 3)]))
+        k(n, x1)
+        assert np.array_equal(x1, x0)
+        assert len(cuts) == 3
+        assert all((lo - 1) % 3 == 0 for lo, _ in cuts)
 
     def test_grain_comes_from_split(self):
         k = build(SAXPY, Schedule([Block("i", 16), Parallel("i")]))
