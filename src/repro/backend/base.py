@@ -106,12 +106,12 @@ class Backend:
 
     name: str = "abstract"
 
-    #: the :mod:`repro.passes` pipeline level this backend wants the typed
-    #: IR brought to before it compiles (0 = raw typechecker output,
-    #: 1 = canonicalized, 2 = full optimization — see
-    #: :data:`repro.passes.LEVEL_PASSES`).  The linker runs the pipeline
-    #: once per function and caches the result on the TypedFunction, so
-    #: two backends requesting the same level share the work.
+    #: the :mod:`repro.passes` pipeline level of the tree this backend
+    #: compiles (0 = raw typechecker output, 1 = canonicalized, 2 = full
+    #: optimization — see :data:`repro.passes.LEVEL_PASSES`); a fixed
+    #: constant per backend, overridden process-wide only by
+    #: ``REPRO_TERRA_PIPELINE`` / ``pipeline_override``.  Each level's
+    #: tree is cached per function, so two backends at one level share it.
     pipeline_level: int = 2
 
     def compile_unit(self, fn, component):

@@ -183,14 +183,10 @@ class CEmitter:
     # unit emission
     # ==================================================================
     def _fn_body(self, fn) -> tast.TBlock:
-        """``fn``'s body at this backend's pipeline level.
-
-        Served through the per-level cache in :mod:`repro.passes`, so the
-        emitted C does not depend on whether another backend that wants a
-        higher level (the interpreter runs LICM) compiled first."""
+        """``fn``'s body at this backend's pipeline level, derived and
+        cached per level by :mod:`repro.passes`."""
         from ...passes import pipelined_body
-        return pipelined_body(fn.typed,
-                              getattr(self.backend, "pipeline_level", None))
+        return pipelined_body(fn.typed, self.backend.pipeline_level)
 
     def emit_unit(self) -> str:
         # pass 0: with REPRO_TERRA_VERIFY_IR=1, re-check the typed trees
@@ -1124,11 +1120,6 @@ class CEmitter:
             value = self._ev(e.args[1])
             return (f"({{ {cty} _v = ({value}); __builtin_memcpy("
                     f"(void*)({addr}), &_v, sizeof _v); (void)0; }})")
-        if name == "fma":
-            ty = e.type
-            a, b, c = (self._ev(x) for x in e.args)
-            suffix = "f" if ty is T.float32 else ""
-            return f"__builtin_fma{suffix}({a}, {b}, {c})"
         if name in ("fmin", "fmax"):
             ty = e.type
             a, b = self._ev(e.args[0]), self._ev(e.args[1])

@@ -26,6 +26,7 @@ from ...core import types as T
 from ...errors import CompileError, FFIError, TrapError
 from ...ffi import convert
 from ...memory import layout
+from ...passes.manager import PIPELINE_CANON
 from ..base import Backend, CompileTicket, ExecutableHandle
 from . import abi
 from .emit import CEmitter, TRAP_MESSAGES
@@ -242,23 +243,14 @@ class CompiledFunction(ExecutableHandle):
 class CBackend(Backend):
     name = "c"
 
-    #: the linker brings the typed IR to this pipeline level before
-    #: calling compile_unit (see repro.passes).  CANON (fold/simplify/dce)
-    #: shrinks the emitted C and makes equivalent stagings hit the buildd
-    #: artifact cache; LICM is deliberately left to gcc -O3, whose own
-    #: loop optimizer subsumes ours — pre-hoisted temps only enlarge the
-    #: unit (and the cache key space).  ``REPRO_TERRA_VEC=1`` raises the
-    #: level to the auto-vectorizing pipeline (gcc's own vectorizer stops
-    #: at 256-bit vectors where ours emits the full register width; see
-    #: passes/vectorize.py), and ``REPRO_TERRA_PIPELINE`` still overrides
-    #: everything in resolve_level.
-    @property
-    def pipeline_level(self) -> int:
-        import os
-        if os.environ.get("REPRO_TERRA_VEC", "") not in ("", "0"):
-            from ...passes.manager import PIPELINE_VEC
-            return PIPELINE_VEC
-        return 1
+    #: the pipeline level of the tree this backend emits (see
+    #: repro.passes).  CANON (fold/simplify/dce) shrinks the emitted C and
+    #: makes equivalent stagings hit the buildd artifact cache; LICM is
+    #: deliberately left to gcc -O3, whose own loop optimizer subsumes
+    #: ours — pre-hoisted temps only enlarge the unit (and the cache key
+    #: space).  The auto-vectorizing level 3 is reached through
+    #: ``REPRO_TERRA_PIPELINE=3`` / ``pipeline_override(3)``.
+    pipeline_level = PIPELINE_CANON
 
     def __init__(self):
         self._libs: list[ctypes.CDLL] = []

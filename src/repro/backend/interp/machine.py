@@ -27,6 +27,7 @@ from ...ffi import convert
 from ...memory.allocator import Allocator
 from ...memory.flatmem import Memory
 from ...memory.layout import TypedMemory, pack_value, unpack_value, zero_value
+from ...passes.manager import PIPELINE_FULL, pipelined_body, resolve_level
 from ..base import Backend, ExecutableHandle
 from . import values as V
 from .builtins import BUILTINS
@@ -44,8 +45,10 @@ class _ReturnSignal(Exception):
 class Frame:
     """One activation: symbol -> (address, type) slots in flat memory."""
 
-    def __init__(self, machine: "Machine"):
+    def __init__(self, machine: "Machine", unit: "InterpFunction"):
         self.machine = machine
+        #: the compiled unit whose trees this activation's calls execute
+        self.unit = unit
         self.slots: dict[Symbol, tuple[int, T.Type]] = {}
         self.regions = []
 
@@ -120,25 +123,25 @@ class Machine:
     # ==================================================================
     # calls
     # ==================================================================
-    def call_function(self, fn: TerraFunction, args: list):
-        """Call with interpreter-convention values (see layout module)."""
+    def call_function(self, fn: TerraFunction, args: list,
+                      unit: "InterpFunction"):
+        """Call with interpreter-convention values (see layout module),
+        executing ``fn``'s tree at ``unit``'s pipeline level."""
         if fn.is_external:
             return self.call_external(fn, args)
-        if fn.typed is None:
-            from ...core.linker import ensure_typechecked
-            ensure_typechecked(fn)
+        body = unit.body_of(fn)
         typed = fn.typed
         if self._depth >= self.max_call_depth:
             raise TrapError(f"interpreter call depth exceeded in {fn.name}")
         self._depth += 1
-        frame = Frame(self)
+        frame = Frame(self, unit)
         try:
             for sym, ty, value in zip(typed.param_symbols,
                                       typed.type.parameters, args):
                 addr = frame.declare(sym, ty)
                 self.typed.store(addr, value, ty)
             try:
-                self.exec_block(typed.body, frame)
+                self.exec_block(body, frame)
             except _ReturnSignal as ret:
                 return ret.value
             rettype = typed.type.returntype
@@ -388,14 +391,14 @@ class Machine:
         args = [self.eval_expr(a, frame) for a in e.args]
         fn = e.fn
         if isinstance(fn, tast.TFuncLit):
-            return self.call_function(fn.func, args)
+            return self.call_function(fn.func, args, frame.unit)
         if isinstance(fn, tast.TCallback):
             return self.call_callback(fn.callback, args)
         addr = self.eval_expr(fn, frame)
         target = self.resolve_funcptr(addr)
         if isinstance(target, PyCallback):
             return self.call_callback(target, args)
-        return self.call_function(target, args)
+        return self.call_function(target, args, frame.unit)
 
     def _eval_unop(self, e: tast.TUnOp, frame):
         value = self.eval_expr(e.operand, frame)
@@ -484,10 +487,6 @@ class Machine:
             return None
         args = [self.eval_expr(a, frame) for a in e.args]
         ty = e.type
-        if name == "fma":
-            a, b, c = args
-            assert isinstance(ty, T.PrimitiveType)
-            return V.fused_multiply_add(a, b, c, ty)
         if name == "select":
             cond, a, b = args
             if isinstance(ty, T.VectorType):
@@ -512,10 +511,22 @@ class Machine:
 class InterpFunction(ExecutableHandle):
     """Python-callable handle mirroring CompiledFunction's conversions."""
 
-    def __init__(self, func: TerraFunction, machine: Machine):
+    def __init__(self, func: TerraFunction, machine: Machine, level: int,
+                 component):
         self.func = func
         self.machine = machine
+        #: the pipeline level resolved when the unit was compiled, and
+        #: every component member's tree at that level
+        self.level = level
+        self.bodies = {m.uid: pipelined_body(m.typed, level)
+                       for m in component if not m.is_external}
         self.type = func.typed.type if func.typed else func.gettype()
+
+    def body_of(self, fn: TerraFunction) -> tast.TBlock:
+        body = self.bodies.get(fn.uid)
+        if body is None:  # a function pointer made by another unit
+            body = self.bodies[fn.uid] = pipelined_body(fn.typed, self.level)
+        return body
 
     # __call__ (with the shared observability hook) comes from
     # ExecutableHandle — see repro.backend.base
@@ -531,7 +542,7 @@ class InterpFunction(ExecutableHandle):
         for value, ty in zip(args, ftype.parameters):
             machine_args.append(self._to_machine(value, ty, keep))
         try:
-            result = self.machine.call_function(self.func, machine_args)
+            result = self.machine.call_function(self.func, machine_args, self)
         finally:
             for item in keep:
                 if isinstance(item, _CopyBack):
@@ -651,11 +662,11 @@ def _numpy():
 class InterpBackend(Backend):
     name = "interp"
 
-    #: the linker brings the typed IR to this pipeline level before
-    #: calling compile_unit (see repro.passes); the interpreter has no
-    #: private optimizer of its own, so it wants the FULL pipeline —
-    #: including LICM, which no downstream compiler would do for it
-    pipeline_level = 2
+    #: the pipeline level of the trees this backend executes (see
+    #: repro.passes); the interpreter has no private optimizer of its
+    #: own, so it wants the FULL pipeline — including LICM, which no
+    #: downstream compiler would do for it
+    pipeline_level = PIPELINE_FULL
 
     def __init__(self):
         self.memory = Memory()
@@ -666,8 +677,10 @@ class InterpBackend(Backend):
     def compile_unit(self, fn, component):
         with _trace.span(f"emit:{fn.name}", cat="emit", backend="interp",
                          component_size=len(component)):
+            level = resolve_level(self.pipeline_level)
             handle = fn.dispatcher.install(
-                self.name, InterpFunction(fn, self.machine))
+                self.name,
+                InterpFunction(fn, self.machine, level, component))
         return handle
 
     # -- globals ----------------------------------------------------------------

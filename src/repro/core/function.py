@@ -222,11 +222,11 @@ class TerraFunction:
         return get_backend("c").emit_source(self)
 
     def get_optimized_ir(self, level: Optional[int] = None) -> str:
-        """The typed IR after the :mod:`repro.passes` pipeline — what both
-        backends actually compile.  ``level`` picks a pipeline level
-        (default: the full pipeline); the tree is returned at exactly
-        that level even when an earlier compile already advanced the
-        in-place tree further (served from the per-level snapshots)."""
+        """The typed IR at a :mod:`repro.passes` pipeline level.  ``level``
+        defaults to the full pipeline (what the interpreter executes);
+        the C backend compiles ``PIPELINE_CANON``.  Each level's tree is
+        derived from the function's one typed tree, so the result does
+        not depend on what was compiled before."""
         from ..passes import pipelined_body
         from .prettyprint import format_typed_ir
         self.ensure_typechecked()

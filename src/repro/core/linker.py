@@ -92,15 +92,14 @@ def ensure_typechecked(fn: TerraFunction) -> None:
 
 
 def pipelined_component(fn: TerraFunction, backend) -> list[TerraFunction]:
-    """Typecheck ``fn``'s connected component and bring every member's
-    typed IR to the backend's requested pipeline level.
+    """Typecheck ``fn``'s connected component and derive every member's
+    tree at the backend's pipeline level.
 
-    This is the single point where the :mod:`repro.passes` pipeline runs:
-    backends receive the component *after* it, each at its declared level
-    regardless of compile order (``repro.passes.pipelined_body`` serves
-    lower levels from snapshots), and a function shared by two compiles
-    is only transformed once (``TypedFunction.pipeline_level`` caches the
-    level reached).
+    The :mod:`repro.passes` pipeline runs here, eagerly, so its time is
+    attributed to linking rather than emission: backends receive the
+    component *after* it and read each member's tree through
+    ``repro.passes.pipelined_body``, which caches it per function and
+    level — a function shared by two compiles is transformed once.
     """
     from ..passes import run_function_pipeline
     level = getattr(backend, "pipeline_level", None)

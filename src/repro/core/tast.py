@@ -408,16 +408,12 @@ class TypedFunction:
         self.referenced_globals: list = []
         self.referenced_callbacks: list = []
         self.string_constants: list[str] = []
-        #: highest :mod:`repro.passes` pipeline level already applied to
-        #: ``body`` (0 = raw typechecker output).  Guarded by
-        #: ``_pipeline_lock`` so concurrent compiles can neither
-        #: double-transform the tree nor observe it half-rewritten.
-        self.pipeline_level: int = 0
+        #: ``body`` is rewritten once, by the schedule lowering, and never
+        #: modified after that; each :mod:`repro.passes` pipeline level
+        #: above 0 is derived from a clone of it and cached here (see :func:`repro.passes.pipelined_body`), under
+        #: ``_pipeline_lock`` so concurrent compiles neither run a
+        #: level's passes twice nor observe a half-built tree.
         self._pipeline_lock = threading.Lock()
-        #: per-level body snapshots, cloned by the pipeline just before it
-        #: advances ``body`` past a level; a backend that requests a level
-        #: the in-place tree has already moved beyond is served from these
-        #: (see :func:`repro.passes.pipelined_body`).
         self._pipeline_bodies: dict[int, TBlock] = {}
 
     @property
@@ -441,8 +437,8 @@ def clone(node):
 
     TNodes are duplicated; symbols, types, globals, functions, and source
     locations are shared by reference, so identity-based facts (interned
-    types, symbol scoping) survive the copy.  The pass pipeline uses this
-    to snapshot a function body before transforming it further.
+    types, symbol scoping) survive the copy.  The pass pipeline derives
+    each level's tree from a clone of the function body.
     """
     if isinstance(node, TNode):
         new = object.__new__(type(node))

@@ -1,10 +1,13 @@
 """The pass-managed mid-level IR pipeline.
 
-Every backend obtains its IR through this package: the linker runs
-:func:`run_function_pipeline` over each member of a connected component
-before handing the component to a backend, and the result is cached per
-function (``TypedFunction.pipeline_level``), so the C emitter and the
-reference interpreter always compile the *same* optimized tree.
+Every backend obtains its IR through :func:`pipelined_body`: each
+backend declares a fixed pipeline level (the interpreter FULL, the C
+backend CANON), each level's tree is derived from the function's one
+immutable typed tree and cached per function and level, and the linker
+brings every member of a connected component to the backend's level
+before handing the component over.  Two backends at the same level
+share one tree; a backend's tree never depends on which backend
+compiled first.
 
 See :mod:`repro.passes.manager` for the environment switches
 (``REPRO_TERRA_PIPELINE``, ``REPRO_TERRA_DISABLE_PASSES``,
@@ -26,7 +29,6 @@ from .manager import (  # noqa: F401
     register_pass,
     resolve_level,
     run_function_pipeline,
-    run_pipeline,
 )
 from .verify import verify_function  # noqa: F401
 
@@ -45,6 +47,5 @@ __all__ = [
     "register_pass",
     "resolve_level",
     "run_function_pipeline",
-    "run_pipeline",
     "verify_function",
 ]

@@ -3,12 +3,12 @@
 Terra separates *staging* (Lua builds the program) from *execution* (LLVM
 optimizes and runs it).  Our reproduction's analog of the optimizer is
 this pipeline: an ordered list of individually-switchable passes that
-every backend consumes, run **once per function** and cached on the
-:class:`~repro.core.tast.TypedFunction` (``pipeline_level``).  Each
-backend reads the tree at *exactly* its declared level through
-:func:`pipelined_body` — levels already passed by the in-place tree are
-served from per-level snapshots — so what a backend compiles never
-depends on which backend compiled first.
+every backend consumes.  Like a Terra definition, a typechecked function
+is a stable artifact: each pipeline level's tree is *derived* from it —
+passes run over a clone, once per function and level, cached on the
+:class:`~repro.core.tast.TypedFunction` — and :func:`pipelined_body` is
+the one way to obtain it, so what a backend compiles never depends on
+which backend compiled first.
 
 Environment switches:
 
@@ -238,8 +238,8 @@ def _record_pass_time(name: str, seconds: float) -> None:
 
 class _LevelView:
     """A TypedFunction facade exposing an alternate ``body`` (the same
-    function at a different pipeline level), so passes and the verifier
-    can run over a snapshot without touching the in-place tree."""
+    function at a pipeline level), so passes and the verifier run over a
+    clone without touching ``typed.body``."""
 
     def __init__(self, typed, body):
         self._typed = typed
@@ -250,94 +250,51 @@ class _LevelView:
 
 
 def _ensure_scheduled(typed) -> None:
-    """Lower an attached :mod:`repro.schedule` Schedule exactly once,
-    *before* any level logic touches the tree (pipeline lock held).
+    """Lower an attached :mod:`repro.schedule` Schedule exactly once
+    (pipeline lock held).
 
-    Runs ahead of the first level snapshot so that every pipeline level
-    — including level 0, which runs no passes — sees the scheduled
-    loops, keeping the per-level snapshot machinery and the scheduled
-    rewrite orthogonal.
+    This is the one write to ``typed.body`` after typechecking: every
+    pipeline level — including level 0, which runs no passes — is
+    derived from the scheduled tree, which nothing modifies afterwards.
     """
     if getattr(typed, "_sched_lowered", False):
         return
+    typed._sched_lowered = True
     func = getattr(typed, "func", None)
     if getattr(func, "schedule", None):
         PassManager(("schedule",)).run(typed)
-    typed._sched_lowered = True
-
-
-def _advance_locked(typed, level: int) -> None:
-    """Advance ``typed.body`` in place to ``level`` (pipeline lock held).
-
-    The body is snapshotted (cloned) at its current level first, so a
-    later request for a lower level — e.g. the C backend compiling after
-    the interpreter already ran LICM — still gets exactly the tree it
-    asked for via :func:`pipelined_body`."""
-    from ..core.tast import clone
-    if typed.pipeline_level not in typed._pipeline_bodies:
-        typed._pipeline_bodies[typed.pipeline_level] = clone(typed.body)
-    with trace.span(f"pipeline:{typed.name}", cat="passes",
-                    level=level, from_level=typed.pipeline_level):
-        PassManager(LEVEL_PASSES[level]).run(typed)
-    typed.pipeline_level = level
-
-
-def run_pipeline(typed, level: Optional[int] = None) -> bool:
-    """Run the level's pipeline over one TypedFunction, exactly once.
-
-    The result is cached via ``typed.pipeline_level`` under the
-    function's pipeline lock, so concurrent compiles (two backends, two
-    threads racing through the linker) can neither double-transform the
-    tree nor observe it half-rewritten.  Re-entry at the same or a lower
-    level is a no-op for the in-place tree (use :func:`pipelined_body`
-    to *read* the tree at an exact level); a higher level runs the
-    higher pipeline (every transform pass is idempotent).  Returns True
-    if passes ran.
-    """
-    level = resolve_level(level)
-    with typed._pipeline_lock:
-        _ensure_scheduled(typed)
-        if typed.pipeline_level >= level:
-            return False
-        _advance_locked(typed, level)
-    return True
 
 
 def pipelined_body(typed, level: Optional[int] = None):
-    """The function body at *exactly* the resolved ``level``.
+    """The function body at *exactly* the resolved ``level`` — the only
+    way any backend (or inspection API) obtains a level's tree.
 
-    If the in-place tree is below the level, it is advanced as in
-    :func:`run_pipeline`.  If another backend already advanced it
-    further (pipeline levels are monotonic per function), the requested
-    level is rebuilt from the snapshot taken before that advance and
-    cached per level — so the C emitter sees the CANON tree whether it
-    compiles before or after the interpreter ran LICM, and equivalent
-    stagings emit byte-identical C in any compile order.
+    Level 0 is ``typed.body`` itself (the typechecked tree, after any
+    attached schedule was lowered).  A higher level runs that level's
+    passes over a clone of ``typed.body`` and caches the result per
+    level under the function's pipeline lock, so concurrent compiles
+    neither double-transform nor observe a half-rewritten tree, and what
+    a backend compiles never depends on which backend compiled first.
     """
     level = resolve_level(level)
     with typed._pipeline_lock:
         _ensure_scheduled(typed)
-        if typed.pipeline_level < level:
-            _advance_locked(typed, level)
-        if typed.pipeline_level == level:
+        if level == PIPELINE_NONE:
             return typed.body
         body = typed._pipeline_bodies.get(level)
         if body is None:
             from ..core.tast import clone
-            base = max(lv for lv in typed._pipeline_bodies if lv <= level)
-            body = clone(typed._pipeline_bodies[base])
-            if LEVEL_PASSES[level]:
-                view = _LevelView(typed, body)
+            view = _LevelView(typed, clone(typed.body))
+            with trace.span(f"pipeline:{typed.name}", cat="passes",
+                            level=level):
                 PassManager(LEVEL_PASSES[level]).run(view)
-                body = view.body
-            typed._pipeline_bodies[level] = body
+            body = typed._pipeline_bodies[level] = view.body
         return body
 
 
-def run_function_pipeline(fn, level: Optional[int] = None) -> bool:
-    """Pipeline entry point for a TerraFunction (no-op for externals and
+def run_function_pipeline(fn, level: Optional[int] = None) -> None:
+    """Bring a TerraFunction's tree to ``level`` (no-op for externals and
     functions that have not been typechecked yet)."""
     typed = getattr(fn, "typed", None)
-    if typed is None or getattr(fn, "is_external", False):
-        return False
-    return run_pipeline(typed, level)
+    if typed is not None and not getattr(fn, "is_external", False):
+        pipelined_body(typed, level)

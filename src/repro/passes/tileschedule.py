@@ -1,37 +1,17 @@
 """The ``schedule`` pass: lower attached Schedule directives onto typed IR.
 
 Runs once per function *before* any pipeline level (the manager calls it
-through ``_ensure_scheduled`` under the pipeline lock), so every level —
-including level 0, which runs no optimization passes — sees the
-scheduled tree and the per-level snapshots stay consistent.  Registered
-as a normal pass so it gets IR dumping (``REPRO_TERRA_DUMP_IR=schedule``),
-verifier integration, and ``pass.schedule`` timing for free.
+through ``_ensure_scheduled`` under the pipeline lock, which also guards
+against a second lowering), so every level — including level 0, which
+runs no optimization passes — is derived from the scheduled tree.
+Registered as a normal pass so it gets IR dumping
+(``REPRO_TERRA_DUMP_IR=schedule``), verifier integration, and
+``pass.schedule`` timing for free.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-
 from .manager import Pass, register_pass
-
-
-def _dump_scheduled(typed, schedule) -> None:
-    """``REPRO_TERRA_SCHEDULE_DUMP=<path|1>``: write the scheduled IR
-    (before any optimization pass touches it) to a file — appending, so
-    one dump file collects every scheduled kernel of a run; this is the
-    artifact the CI schedule-smoke job uploads — or to stderr for ``1``."""
-    dest = os.environ.get("REPRO_TERRA_SCHEDULE_DUMP", "")
-    if not dest:
-        return
-    from ..core.prettyprint import format_typed_ir
-    text = (f"-- {typed.name}: {schedule.key()}\n"
-            f"{format_typed_ir(typed)}\n")
-    if dest == "1":
-        sys.stderr.write(text)
-    else:
-        with open(dest, "a") as fh:
-            fh.write(text)
 
 
 @register_pass
@@ -41,18 +21,8 @@ class SchedulePass(Pass):
     name = "schedule"
 
     def run(self, typed) -> bool:
-        if getattr(typed, "_sched_lowered", False):
-            return False
-        typed._sched_lowered = True
-        func = getattr(typed, "func", None)
-        schedule = getattr(func, "schedule", None)
+        schedule = getattr(getattr(typed, "func", None), "schedule", None)
         if not schedule:
             return False
-        from ..schedule import _env_disabled
         from ..schedule.lower import lower_schedule
-        if _env_disabled():
-            return False
-        changed = lower_schedule(typed, schedule)
-        if changed:
-            _dump_scheduled(typed, schedule)
-        return changed
+        return lower_schedule(typed, schedule)

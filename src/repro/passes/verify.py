@@ -41,8 +41,8 @@ def verify_function(typed, where: str = "", body=None) -> None:
     violation, annotated with ``where`` (e.g. "after pass 'fold'").
 
     ``body`` checks an alternate body for the same function — the C
-    emitter passes the per-level snapshot it is about to emit, which may
-    differ from the in-place ``typed.body``."""
+    emitter passes the pipeline level's tree it is about to emit, which
+    differs from ``typed.body`` above level 0."""
     _Verifier(typed, where, body).run()
 
 

@@ -24,12 +24,9 @@ tree with no special cases.  Invalid schedules raise a typed
 construction when the conflict is schedule-internal and at compile time
 when it depends on the loop nest.
 
-Environment knobs (docs/ENVIRONMENT.md):
-
-* ``REPRO_TERRA_SCHEDULE_DISABLE=1`` — ignore attached schedules (compile
-  the naive kernel and dispatch serially; the ablation baseline switch);
-* ``REPRO_TERRA_SCHEDULE_DUMP=<path|1>`` — write the scheduled IR after
-  lowering to a file (or stderr) — what the CI artifact captures.
+``REPRO_TERRA_DUMP_IR=schedule`` prints the IR before and after the
+lowering to stderr (docs/ENVIRONMENT.md); the ablation baseline is the
+same function without :func:`apply`.
 
 See docs/SCHEDULES.md for the lowering contract and the Orion-directive
 mapping table.
@@ -46,7 +43,6 @@ mapping table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -57,10 +53,6 @@ __all__ = [
     "Directive", "Schedule", "ScheduledKernel", "ScheduleError",
     "apply", "axes_of", "fuzz_schedule",
 ]
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("REPRO_TERRA_SCHEDULE_DISABLE", "") not in ("", "0")
 
 
 # -- directives -------------------------------------------------------------------
@@ -413,7 +405,7 @@ class ScheduledKernel:
 
     def __call__(self, *args):
         par = self.schedule.parallel
-        if par is None or _env_disabled():
+        if par is None:
             return self.fn(*args)
         from ..parallel import parallel_for
         lo, hi, step = self._axis_bounds(args)
@@ -432,7 +424,7 @@ class ScheduledKernel:
         if bounds is None:
             raise ScheduleError(
                 f"{self.schedule.parallel}: no dispatch bounds recorded "
-                f"for {self.fn.name!r} (was the schedule disabled?)")
+                f"for {self.fn.name!r} (was the schedule pass disabled?)")
         params = {sym: i for i, sym in enumerate(typed.param_symbols)}
 
         def ev(expr):
@@ -486,7 +478,7 @@ def apply(fn, schedule) -> ScheduledKernel:
             f"builders (make_gemm_from_schedule, apps.dequant), not the "
             f"generic lowering — see docs/SCHEDULES.md")
     fn.schedule = schedule
-    if schedule.parallel is not None and not _env_disabled():
+    if schedule.parallel is not None:
         fn.mark_chunked()
     return ScheduledKernel(fn, schedule)
 

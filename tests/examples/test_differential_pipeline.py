@@ -6,10 +6,13 @@ Each program below is compiled three ways:
 * interpreter with the pipeline forced off (``pipeline_override(0)``),
 * the C backend (full pipeline).
 
-All three must agree on every input.  A fresh TerraFunction is built per
-configuration because the passes mutate the typed tree in place — reusing
-one function would silently hand the "no passes" run an already-optimized
-tree.
+All three must agree on every input.  Each configuration gets a fresh
+TerraFunction because a function's dispatcher keeps the first handle
+installed per backend (two interpreter configurations cannot share one
+function).  A level's tree is derived from the function's one typed tree
+without modifying it, so the same-function case below compiles one
+function on C first and then on the interpreter with the pipeline
+forced off: the interpreter still runs the raw tree.
 
 Trap behaviour is compared interp-with vs interp-without only: the C
 build of a dividing kernel would SIGFPE the test process rather than
@@ -106,7 +109,7 @@ PROGRAMS = [
 
 
 def compile_config(source, backend, passes_on):
-    """Fresh function per configuration: passes mutate the tree in place."""
+    """Fresh function per configuration (one handle per backend)."""
     fn = terra(source, env={})
     if passes_on:
         return fn.compile(backend)
@@ -179,3 +182,21 @@ def test_short_circuit_non_trap_inputs_agree():
     without_passes = compile_config(source, "interp", False)
     for args in [(False, 0), (True, 5), (False, 3)]:
         assert with_passes(*args) == without_passes(*args)
+
+
+@pytest.mark.parametrize(
+    "name,source,argsets",
+    [p for p in PROGRAMS if p[2] is not None],
+    ids=[p[0] for p in PROGRAMS if p[2] is not None])
+def test_same_function_c_then_raw_interp(name, source, argsets):
+    """One function: C (CANON) compiled first, then the interpreter with
+    the pipeline off — it must agree with a fresh full-pipeline run."""
+    fn = terra(source, env={})
+    c_backend = fn.compile("c")
+    with pipeline_override(PIPELINE_NONE):
+        without_passes = fn.compile("interp")
+    with_passes = compile_config(source, "interp", True)
+    for args in argsets:
+        expected = with_passes(*args)
+        assert without_passes(*args) == expected, (name, args)
+        assert c_backend(*args) == expected, (name, args)

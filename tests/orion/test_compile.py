@@ -322,18 +322,6 @@ class TestTileSchedule:
         stencil.fn.compile("c")
         assert registry().get("sched.vectorized") == self.STAGES[policy]
 
-    def test_schedule_disable_compiles_scalar(self, monkeypatch):
-        """REPRO_TERRA_SCHEDULE_DISABLE=1 turns off the generic schedule
-        pass, so Orion's scanline loops stay scalar — same output."""
-        scalar = compile_pipeline(self.pipeline(L.MATERIALIZE), self.NV)
-        expect = self.run(scalar, "c")
-        monkeypatch.setenv("REPRO_TERRA_SCHEDULE_DISABLE", "1")
-        registry().reset("sched.")
-        stencil = compile_pipeline(self.pipeline(L.MATERIALIZE), self.NV,
-                                   tile_schedule=vec(8))
-        assert np.array_equal(self.run(stencil, "c"), expect)
-        assert registry().get("sched.vectorized") == 0
-
     def test_records_the_schedule(self):
         s = compile_pipeline(self.pipeline(L.MATERIALIZE), self.NV,
                              tile_schedule=vec(8))

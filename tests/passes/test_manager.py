@@ -15,8 +15,8 @@ from repro.passes import (
     available_passes,
     create_pass,
     pipeline_override,
+    pipelined_body,
     resolve_level,
-    run_pipeline,
 )
 
 
@@ -112,54 +112,126 @@ class TestLevels:
         assert resolve_level(None) == PIPELINE_FULL
 
 
-class TestCaching:
-    def test_pipeline_runs_once(self):
-        fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        assert fn.typed.pipeline_level == 0
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is True
-        assert fn.typed.pipeline_level == PIPELINE_FULL
-        # re-entry at the same or lower level is a no-op
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is False
-        assert run_pipeline(fn.typed, PIPELINE_CANON) is False
+def node_count(tree):
+    return sum(1 for _ in tast.walk(tree))
 
-    def test_level_upgrades(self):
+
+def executed_blocks(handle, monkeypatch, *args):
+    """Every block the interpreter executes when ``handle`` is called
+    (the called function's body first)."""
+    machine = handle.machine
+    seen = []
+    run_block = machine.exec_block
+
+    def spy(block, frame):
+        seen.append(block)
+        return run_block(block, frame)
+
+    monkeypatch.setattr(machine, "exec_block", spy)
+    handle(*args)
+    monkeypatch.undo()
+    return seen
+
+
+class TestCaching:
+    def test_level_derived_once(self):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        assert run_pipeline(fn.typed, PIPELINE_CANON) is True
-        assert fn.typed.pipeline_level == PIPELINE_CANON
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is True
-        assert fn.typed.pipeline_level == PIPELINE_FULL
+        full = pipelined_body(fn.typed, PIPELINE_FULL)
+        assert full is not fn.typed.body
+        assert pipelined_body(fn.typed, PIPELINE_FULL) is full
+
+    def test_levels_derived_from_one_tree(self):
+        fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
+        raw = fn.typed.body
+        raw_count = node_count(raw)
+        canon = pipelined_body(fn.typed, PIPELINE_CANON)
+        full = pipelined_body(fn.typed, PIPELINE_FULL)
+        assert canon is not full
+        assert node_count(canon) < raw_count
+        # deriving a level never touches the typed tree
+        assert fn.typed.body is raw and node_count(raw) == raw_count
 
     def test_level_zero_is_identity(self):
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        before = sum(1 for _ in tast.walk(fn.typed.body))
+        before = node_count(fn.typed.body)
         with pipeline_override(PIPELINE_NONE):
-            assert run_pipeline(fn.typed) is False
-        assert sum(1 for _ in tast.walk(fn.typed.body)) == before
-        assert fn.typed.pipeline_level == 0
+            assert pipelined_body(fn.typed) is fn.typed.body
+        assert node_count(fn.typed.body) == before
 
     def test_compile_shares_pipelined_tree(self):
-        """Both backends see the same canonicalized tree: compiling on the
-        interpreter first and gcc second does not re-run the passes."""
+        """A level's tree is derived once and shared: compiling on the
+        interpreter first and gcc second neither re-derives the FULL
+        tree nor modifies the typed tree."""
         fn = typed_fn("terra f(x : int) : int return x + 2 * 3 end")
+        raw = fn.typed.body
         assert fn.compile("interp")(1) == 7
-        level_after_interp = fn.typed.pipeline_level
-        body_ids = [id(s) for s in fn.typed.body.statements]
+        full = pipelined_body(fn.typed, PIPELINE_FULL)
         assert fn.compile("c")(1) == 7
-        assert fn.typed.pipeline_level == level_after_interp == PIPELINE_FULL
-        assert [id(s) for s in fn.typed.body.statements] == body_ids
+        assert pipelined_body(fn.typed, PIPELINE_FULL) is full
+        assert fn.typed.body is raw
 
     def test_pipelined_body_serves_lower_levels_after_full(self):
-        """Once the in-place tree is at FULL, a lower-level request is
-        rebuilt from the pre-advance snapshot, not served the FULL tree."""
-        from repro.passes import pipelined_body
         fn = typed_fn("terra f(x : int) : int return x + (1 + 1) end")
-        raw_count = sum(1 for _ in tast.walk(fn.typed.body))
-        assert run_pipeline(fn.typed, PIPELINE_FULL) is True
-        assert sum(1 for _ in tast.walk(fn.typed.body)) < raw_count
-        raw = pipelined_body(fn.typed, PIPELINE_NONE)
-        assert sum(1 for _ in tast.walk(raw)) == raw_count
-        # the in-place tree and its level are untouched by the read
-        assert fn.typed.pipeline_level == PIPELINE_FULL
+        raw_count = node_count(fn.typed.body)
+        assert node_count(pipelined_body(fn.typed, PIPELINE_FULL)) \
+            < raw_count
+        assert node_count(pipelined_body(fn.typed, PIPELINE_NONE)) \
+            == raw_count
+
+
+class TestInterpreterRunsItsLevel:
+    """The interpreter executes the tree of the level resolved when its
+    unit was compiled, whatever other backends compiled before or after
+    (regression: it used to execute the shared tree in whatever state
+    the last in-place pipeline run left it)."""
+
+    SRC = "terra f(x : int) : int return x + (1 + 1) end"
+
+    def test_raw_level_after_c_compile(self, monkeypatch):
+        fn = typed_fn(self.SRC)
+        assert fn.compile("c")(1) == 3
+        with pipeline_override(PIPELINE_NONE):
+            handle = fn.compile("interp")
+        body = executed_blocks(handle, monkeypatch, 1)[0]
+        assert body is pipelined_body(fn.typed, PIPELINE_NONE)
+
+    def test_raw_level_kept_across_later_c_compile(self, monkeypatch):
+        fn = typed_fn(self.SRC)
+        raw_count = node_count(fn.typed.body)
+        with pipeline_override(PIPELINE_NONE):
+            handle = fn.compile("interp")
+        assert executed_blocks(handle, monkeypatch, 1)[0] \
+            is pipelined_body(fn.typed, PIPELINE_NONE)
+        assert fn.compile("c")(1) == 3
+        body = executed_blocks(handle, monkeypatch, 1)[0]
+        assert body is pipelined_body(fn.typed, PIPELINE_NONE)
+        assert node_count(body) == raw_count
+
+    def test_callees_run_at_the_units_level(self, monkeypatch):
+        fns = terra("""
+        terra g(x : int) : int return x * (2 + 0) end
+        terra f(x : int) : int return g(x) + 1 end
+        """, env={})
+        f, g = fns["f"], fns["g"]
+        assert g.compile("interp")(5) == 10  # g's own unit: FULL
+        with pipeline_override(PIPELINE_NONE):
+            handle = f.compile("interp")
+        seen = executed_blocks(handle, monkeypatch, 5)
+        assert seen[0] is f.typed.body
+        assert g.typed.body in seen
+        assert pipelined_body(g.typed, PIPELINE_FULL) not in seen
+
+    def test_pointer_callee_from_another_unit(self, monkeypatch):
+        fns = terra("""
+        terra g(x : int) : int return x + (1 + 1) end
+        terra getg() : {int} -> {int} return g end
+        terra callp(p : {int} -> {int}, x : int) : int return p(x) end
+        """, env={})
+        g_ptr = fns["getg"].compile("interp")()
+        with pipeline_override(PIPELINE_NONE):
+            handle = fns["callp"].compile("interp")
+        seen = executed_blocks(handle, monkeypatch, g_ptr, 3)
+        assert fns["g"].typed.body in seen
 
 
 class TestBackendsUsePipeline:
@@ -195,7 +267,6 @@ class TestBackendsUsePipeline:
         c_first = typed_fn(src).get_c_source()
         fn = typed_fn(src)
         assert fn.compile("interp")(2, 4) == 24
-        assert fn.typed.pipeline_level == PIPELINE_FULL
         assert fn.get_c_source() == c_first
 
     def test_emitted_c_reflects_pipeline(self):

@@ -1,5 +1,5 @@
 """Schedule lowering: rewrite shapes, strict-mode rejection matrix,
-apply() misuse, the env kill-switch, Parallel dispatch, and the
+apply() misuse, Parallel dispatch, and the
 vectorizer-bailout accounting regression (one bail per *original* loop,
 not per generated tile/unroll instance — PR 8 semantics)."""
 
@@ -9,7 +9,7 @@ import pytest
 from repro import get_backend, terra
 from repro.core import tast
 from repro.errors import ScheduleError
-from repro.passes.manager import run_pipeline
+from repro.passes import PIPELINE_FULL, pipelined_body
 from repro.passes.vectorize import VectorizePass
 from repro.schedule import (Block, Pack, Parallel, Schedule, Tile, Unroll,
                             Vectorize, apply, fuzz_schedule)
@@ -69,7 +69,7 @@ def lower(kernel):
     """Typecheck and run only the schedule stage (level 0 = no other
     passes); returns the typed function for shape inspection."""
     kernel.ensure_typechecked()
-    run_pipeline(kernel.typed, 0)
+    assert pipelined_body(kernel.typed, 0) is kernel.typed.body
     return kernel.typed
 
 
@@ -114,8 +114,12 @@ class TestRewriteShape:
         k = build(SAXPY, Schedule([Block("i", 8)]))
         typed = lower(k)
         shape = loop_names(typed.body)
-        run_pipeline(typed, 0)  # second entry must not re-lower
-        assert loop_names(typed.body) == shape
+        body = typed.body
+        # a second entry must not re-lower, and deriving a higher level
+        # leaves the scheduled tree alone
+        assert pipelined_body(typed, 0) is body
+        pipelined_body(typed, PIPELINE_FULL)
+        assert typed.body is body and loop_names(body) == shape
 
 
 class TestBitIdentity:
@@ -284,21 +288,6 @@ class TestApplyMisuse:
         k = apply(terra(SAXPY, env={}), Block("i", 8))
         assert k.name == "saxpy"
         assert "saxpy" in repr(k) and "Block" in repr(k)
-
-
-class TestEnvDisable:
-    def test_disable_skips_lowering(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_SCHEDULE_DISABLE", "1")
-        typed = lower(build(SAXPY, Schedule([Block("i", 8)])))
-        assert loop_names(typed.body) == ["i"]  # untouched
-
-    def test_disable_dispatches_serially(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERRA_SCHEDULE_DISABLE", "1")
-        k = build(SAXPY, Schedule([Parallel("i")]))
-        x = np.ones(8, dtype=np.float32)
-        y = np.ones(8, dtype=np.float32)
-        k(8, 2.0, x, y)  # serial fallback, no chunked entry required
-        assert np.array_equal(y, np.full(8, 3.0, dtype=np.float32))
 
 
 class TestParallelDispatch:
